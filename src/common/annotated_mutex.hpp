@@ -5,14 +5,6 @@
 // wrapper makes `clang++ -Wthread-safety` actually prove the lock
 // discipline (see thread_annotations.hpp for the CI wiring).
 //
-// A Mutex constructed with a name is additionally a *witnessed* capability:
-// while common::LockWitness is enabled, every acquisition records
-// "acquired while <held set> was held" edges into the global acquisition
-// graph that the `concur` lock-order analyzer checks for cycles and
-// inversions.  Unnamed mutexes skip the hook entirely (one pointer test);
-// named ones cost one extra relaxed load + branch while the witness is
-// off.
-//
 // CondVar pairs with Mutex without surrendering the annotation: wait()
 // requires the capability and re-holds it on return.  Internally it adopts
 // the already-locked std::mutex, so the thread-safety analysis never sees
@@ -23,7 +15,6 @@
 #include <condition_variable>
 #include <mutex>
 
-#include "common/lock_witness.hpp"
 #include "common/thread_annotations.hpp"
 
 namespace flymon::common {
@@ -31,33 +22,16 @@ namespace flymon::common {
 class FLYMON_CAPABILITY("mutex") Mutex {
  public:
   Mutex() = default;
-  /// A named mutex participates in the lock witness; `name` must be a
-  /// string literal (stored, not copied) and names the capability in the
-  /// acquisition graph ("exec.submit_mu").
-  explicit Mutex(const char* name) : name_(name) { witness_register(name); }
   Mutex(const Mutex&) = delete;
   Mutex& operator=(const Mutex&) = delete;
 
-  void lock() FLYMON_ACQUIRE() {
-    mu_.lock();
-    if (name_ != nullptr) witness_acquired(name_);
-  }
-  void unlock() FLYMON_RELEASE() {
-    if (name_ != nullptr) witness_released(name_);
-    mu_.unlock();
-  }
-  bool try_lock() FLYMON_TRY_ACQUIRE(true) {
-    if (!mu_.try_lock()) return false;
-    if (name_ != nullptr) witness_acquired(name_);
-    return true;
-  }
-
-  const char* name() const noexcept { return name_; }
+  void lock() FLYMON_ACQUIRE() { mu_.lock(); }
+  void unlock() FLYMON_RELEASE() { mu_.unlock(); }
+  bool try_lock() FLYMON_TRY_ACQUIRE(true) { return mu_.try_lock(); }
 
  private:
   friend class CondVar;
   std::mutex mu_;
-  const char* name_ = nullptr;
 };
 
 /// std::lock_guard for Mutex, visible to the thread-safety analysis.
@@ -74,10 +48,9 @@ class FLYMON_SCOPED_CAPABILITY MutexLock {
 
 /// Condition variable for Mutex.  wait() must be called with `mu` held
 /// (enforced by FLYMON_REQUIRES); the capability is conceptually held
-/// across the wait — the internal release/re-acquire is invisible to both
-/// the thread-safety analysis and the lock witness, which is exactly the
-/// semantics a condition wait has for lock-order purposes (nothing new is
-/// acquired while asleep).
+/// across the wait — the internal release/re-acquire is invisible to the
+/// thread-safety analysis, which is exactly the semantics a condition wait
+/// has for lock-order purposes (nothing new is acquired while asleep).
 class CondVar {
  public:
   CondVar() = default;

@@ -4,20 +4,11 @@
 #include <optional>
 #include <thread>
 
-#include "common/lock_witness.hpp"
 #include "exec/exec_plan.hpp"
 #include "exec/worker_pool.hpp"
 #include "ingest/packet_source.hpp"
 #include "trace/span.hpp"
 #include "trace/stage_profiler.hpp"
-
-// Reconfiguration acquires the pool fence (submit_mu_) and the RCU cell
-// while holding publish_mu_; register those facts for the `concur`
-// lock-order analyzer so a reversed acquisition anywhere in the tree shows
-// up as a cycle.
-FLYMON_DECLARE_LOCK_ORDER("core.publish_mu", "exec.submit_mu");
-FLYMON_DECLARE_LOCK_ORDER("core.publish_mu", "exec.plan_cell");
-FLYMON_DECLARE_LOCK_ORDER("core.publish_mu", "trace.spans");
 
 namespace flymon {
 

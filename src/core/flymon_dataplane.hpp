@@ -209,7 +209,16 @@ class FlyMonDataPlane {
   exec::PlanCell plan_;
   /// Serialises compile+publish and pool fencing.  mutable so read-only
   /// accessors (last_publish_veto) can lock it on a const data plane.
-  mutable common::Mutex publish_mu_{"core.publish_mu"};
+  /// Lock order (checked by TSan and, on the protocol model, flymon_mc):
+  ///   core.publish_mu → exec.submit_mu → {exec.job_mu, exec.done_mu,
+  ///     exec.plan_cell, telemetry.registry, trace.spans}
+  ///   trace.spans → telemetry.registry
+  /// core.publish_mu is this mutex; exec.* are WorkerPool's submit_mu_,
+  /// job_mu_, done_mu_ and the PlanCell's mutex; telemetry.registry and
+  /// trace.spans are the mu_ of telemetry::Registry and
+  /// trace::SpanCollector.  Reconfiguration takes the pool fence, the RCU
+  /// cell and the span collector while holding this mutex.
+  mutable common::Mutex publish_mu_;
   std::uint64_t next_generation_ FLYMON_GUARDED_BY(publish_mu_) = 0;
   PlanValidator validator_ FLYMON_GUARDED_BY(publish_mu_);
   std::string last_publish_veto_ FLYMON_GUARDED_BY(publish_mu_);

@@ -2,9 +2,7 @@
 // instantiation of exec::BasicPlanCell (see protocol.hpp for the full
 // protocol rationale — why it is a mutex and not
 // std::atomic<std::shared_ptr>, and why the displaced snapshot dies
-// outside the lock).  The cell's mutex is a named lock-witness capability
-// ("exec.plan_cell") so the `concur` analyzer sees packet-path
-// acquisitions in the acquisition graph.
+// outside the lock).
 #pragma once
 
 #include "exec/protocol.hpp"
@@ -13,9 +11,6 @@ namespace flymon::exec {
 
 class ExecPlan;
 
-class PlanCell : public BasicPlanCell<common::StdSync, const ExecPlan> {
- public:
-  PlanCell() : BasicPlanCell("exec.plan_cell") {}
-};
+class PlanCell : public BasicPlanCell<common::StdSync, const ExecPlan> {};
 
 }  // namespace flymon::exec

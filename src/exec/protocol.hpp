@@ -81,7 +81,8 @@ template <class Sync, class PlanT>
 class BasicPlanCell {
  public:
   BasicPlanCell() = default;
-  /// Names the internal mutex as a lock-witness capability.
+  /// Names the internal mutex (the model checker's sim::mutex), so
+  /// deadlock reports can say which lock a thread is blocked on.
   explicit BasicPlanCell(const char* name) : mu_(name) {}
 
   /// Acquire the current snapshot (nullptr = no plan published).

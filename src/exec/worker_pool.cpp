@@ -2,21 +2,9 @@
 
 #include <algorithm>
 
-#include "common/lock_witness.hpp"
 #include "core/flymon_dataplane.hpp"
 #include "trace/span.hpp"
 #include "trace/stage_profiler.hpp"
-
-// The acquisition-order facts the annotations above establish, registered
-// for the `concur` lock-order analyzer: everything the pool acquires while
-// holding submit_mu_ (job hand-off, completion wait, plan-cell load,
-// telemetry handle caching).  The runtime lock witness must only ever
-// observe these edges in this orientation.
-FLYMON_DECLARE_LOCK_ORDER("exec.submit_mu", "exec.job_mu");
-FLYMON_DECLARE_LOCK_ORDER("exec.submit_mu", "exec.done_mu");
-FLYMON_DECLARE_LOCK_ORDER("exec.submit_mu", "exec.plan_cell");
-FLYMON_DECLARE_LOCK_ORDER("exec.submit_mu", "telemetry.registry");
-FLYMON_DECLARE_LOCK_ORDER("exec.submit_mu", "trace.spans");
 
 namespace flymon::exec {
 

@@ -126,20 +126,24 @@ class WorkerPool {
   std::vector<std::unique_ptr<Worker>> workers_;  ///< one per executor
   std::vector<std::thread> threads_;              ///< num_executors_ - 1
 
-  /// Serialises process() / quiesce / Fence.
-  common::Mutex submit_mu_{"exec.submit_mu"};
+  /// Serialises process() / quiesce / Fence.  Acquired after
+  /// FlyMonDataPlane::publish_mu_ and before everything the pool takes
+  /// while holding it: job_mu_, done_mu_, the PlanCell mutex, the
+  /// telemetry registry and the span collector (see publish_mu_ for the
+  /// whole order).
+  common::Mutex submit_mu_;
 
   // Job hand-off: the submitter publishes job_/job_seq_ under job_mu_ and
   // wakes every worker; each worker copies the shared_ptr once per
-  // sequence number.  Annotated (and witnessed) now that common::CondVar
-  // keeps the capability visible across the wait.
-  common::Mutex job_mu_{"exec.job_mu"};
+  // sequence number.  Annotated now that common::CondVar keeps the
+  // capability visible across the wait.
+  common::Mutex job_mu_;
   common::CondVar job_cv_;
   std::shared_ptr<Job> job_ FLYMON_GUARDED_BY(job_mu_);  ///< workers copy the ref
   std::uint64_t job_seq_ FLYMON_GUARDED_BY(job_mu_) = 0;  ///< bumped per job
   bool stop_ FLYMON_GUARDED_BY(job_mu_) = false;
 
-  common::Mutex done_mu_{"exec.done_mu"};
+  common::Mutex done_mu_;
   common::CondVar done_cv_;
 
   std::atomic<std::uint64_t> parallel_batches_{0};

@@ -142,7 +142,7 @@ class Registry {
   Entry& find_or_create(const std::string& name, const Labels& labels,
                         MetricKind kind) FLYMON_REQUIRES(mu_);
 
-  mutable common::Mutex mu_{"telemetry.registry"};
+  mutable common::Mutex mu_;
   std::map<std::string, Entry> entries_
       FLYMON_GUARDED_BY(mu_);  // key = canonical "name{labels}"
 };

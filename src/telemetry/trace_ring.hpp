@@ -98,7 +98,7 @@ class PacketTracer {
 
  private:
   std::size_t capacity_;  ///< == ring_.size(); immutable, readable lock-free
-  mutable common::Mutex mu_{"telemetry.tracer"};
+  mutable common::Mutex mu_;
   std::vector<TraceRecord> ring_ FLYMON_GUARDED_BY(mu_);
   TraceRecord scratch_;        ///< writer-private; published by commit()
   bool scratch_live_ = false;  ///< writer-private

@@ -7,13 +7,7 @@
 #include <map>
 #include <string>
 
-#include "common/lock_witness.hpp"
 #include "telemetry/telemetry.hpp"
-
-// flush_to_registry holds the collector lock while creating/observing
-// metrics (which take the registry lock); register the fact for the
-// `concur` lock-order analyzer.
-FLYMON_DECLARE_LOCK_ORDER("trace.spans", "telemetry.registry");
 
 namespace flymon::trace {
 

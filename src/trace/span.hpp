@@ -128,7 +128,7 @@ class SpanCollector {
   static thread_local ThreadRing* t_ring;
   static thread_local SpanCollector* t_ring_owner;
 
-  mutable common::Mutex mu_{"trace.spans"};  ///< guards rings_ registration + flush cursors
+  mutable common::Mutex mu_;  ///< guards rings_ registration + flush cursors
   std::vector<std::unique_ptr<ThreadRing>> rings_ FLYMON_GUARDED_BY(mu_);
   std::vector<std::uint64_t> flushed_
       FLYMON_GUARDED_BY(mu_);  ///< per-ring flush cursor (head)

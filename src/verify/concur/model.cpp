@@ -81,8 +81,8 @@ class ModelShard {
 };
 
 /// All shared state of one execution, rebuilt fresh per run on the body
-/// fiber's stack.  Mutex names match the production capabilities so the
-/// model's acquisitions land in the same lock-order witness graph.
+/// fiber's stack.  Mutex names match the production members they model,
+/// so a deadlock report names the lock a thread is blocked on.
 struct Model {
   explicit Model(const ModelConfig& c) : cfg(c) {
     const int executors = cfg.workers + 1;
@@ -142,10 +142,9 @@ void run_chunks(Model& m, SimJobControl& ctl, ModelShard& shard,
     if (m.cfg.mutation == Mutation::kInvertedLockOrder && is_worker &&
         probed != nullptr && !*probed) {
       *probed = true;
-      // Seeded inversion: done_mu then submit_mu, against the declared
+      // Seeded inversion: done_mu then submit_mu, against the
       // submit_mu -> done_mu order.  Deadlocks against a submitter that
-      // holds submit_mu while waiting for this very chunk's completion,
-      // and feeds the inverted edge to the lock-order witness.
+      // holds submit_mu while waiting for this very chunk's completion.
       m.done_mu.lock();
       m.submit_mu.lock();
       m.submit_mu.unlock();

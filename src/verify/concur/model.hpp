@@ -23,7 +23,7 @@
 //   I7  no deadlock and no lost wakeup (structural, from the scheduler).
 //
 // Seeded mutations weaken one protocol line each; the self-test proves
-// every one is caught by the model checker or the lock-order analyzer.
+// every one is caught by the model checker.
 #pragma once
 
 #include <string>

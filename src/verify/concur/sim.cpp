@@ -11,8 +11,6 @@
 #include <memory>
 #include <stdexcept>
 
-#include "common/lock_witness.hpp"
-
 // ---------------------------------------------------------------------------
 // Sanitizer handling.  ASan needs explicit fiber-switch annotations so its
 // fake-stack machinery follows the ucontext switches; TSan cannot follow
@@ -131,7 +129,6 @@ struct Fiber {
   VectorClock clock;
   CondVarState* wait_cv = nullptr;  ///< valid while kBlockedCv
   MutexState* wait_mu = nullptr;    ///< mutex to reacquire after notify
-  std::vector<const char*> held;    ///< named mutexes, outermost first
   bool started = false;
   void* fake_stack = nullptr;  ///< ASan fake-stack save slot for this fiber
 };
@@ -645,25 +642,12 @@ class Scheduler {
     Fiber& f = *fibers_[static_cast<std::size_t>(tid)];
     mu.owner = tid;
     f.clock.join(mu.clock);
-    if (mu.name != nullptr) {
-      common::LockWitness& w = common::LockWitness::global();
-      if (w.enabled()) w.on_acquire_held(mu.name, f.held);
-      f.held.push_back(mu.name);
-    }
   }
 
   void release_mutex(int tid, MutexState& mu) {
     Fiber& f = *fibers_[static_cast<std::size_t>(tid)];
     mu.owner = -1;
     mu.clock = f.clock;
-    if (mu.name != nullptr) {
-      for (auto it = f.held.rbegin(); it != f.held.rend(); ++it) {
-        if (*it == mu.name) {
-          f.held.erase(std::next(it).base());
-          break;
-        }
-      }
-    }
   }
 
   // ---- failure reporting -------------------------------------------------

@@ -202,9 +202,8 @@ class atomic {
   mutable detail::AtomicState st_{"atomic", {}};
 };
 
-/// Simulated mutex.  Named instances feed the same lock-order witness as
-/// production common::Mutex, so an inverted acquisition found by the model
-/// checker also appears as a cycle to the `concur` analyzer.
+/// Simulated mutex.  The optional name labels the mutex in deadlock and
+/// misuse reports ("T1 mutex_lock('exec.submit_mu')").
 class FLYMON_CAPABILITY("mutex") mutex {
  public:
   mutex() : st_{nullptr, -1, {}} {}

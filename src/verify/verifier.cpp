@@ -16,7 +16,6 @@ Verifier::Verifier() {
   add(make_dataflow_accuracy_analyzer());
   add(make_translation_analyzer());
   add(make_merge_soundness_analyzer());
-  add(make_concur_analyzer());
 }
 
 void Verifier::add(std::unique_ptr<Analyzer> analyzer) {

@@ -21,15 +21,13 @@ std::unique_ptr<Analyzer> make_dataflow_range_analyzer();
 std::unique_ptr<Analyzer> make_dataflow_accuracy_analyzer();
 std::unique_ptr<Analyzer> make_translation_analyzer();
 std::unique_ptr<Analyzer> make_merge_soundness_analyzer();
-std::unique_ptr<Analyzer> make_concur_analyzer();
 
 class Verifier {
  public:
-  /// Registers the ten built-in analyzers (resources, tcam, memory,
+  /// Registers the nine built-in analyzers (resources, tcam, memory,
   /// tasks, dataflow-key, dataflow-range, dataflow-accuracy, translate,
-  /// merge, concur).  Translate and merge only act when
-  /// VerifyContext::exec_plan is set; concur reads the process-global
-  /// declared/witnessed lock graphs, not the snapshot.
+  /// merge).  Translate and merge only act when VerifyContext::exec_plan
+  /// is set.
   Verifier();
 
   void add(std::unique_ptr<Analyzer> analyzer);

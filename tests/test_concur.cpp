@@ -1,7 +1,6 @@
 // Concurrency checker (src/verify/concur): the sim primitives under the
 // DPOR scheduler, exhaustive exploration of the bounded protocol model,
-// the seeded mutation catalogue, and the lock-order analyzer over declared
-// facts merged with the runtime witness.
+// and the seeded mutation catalogue.
 //
 // Every explore() test is gated on checker_supported(): under
 // ThreadSanitizer the fiber scheduler cannot run and the tests skip (the
@@ -11,16 +10,13 @@
 #include <string>
 #include <vector>
 
-#include "common/lock_witness.hpp"
 #include "verify/concur/model.hpp"
 #include "verify/concur/ring_model.hpp"
 #include "verify/concur/sim.hpp"
-#include "verify/verifier.hpp"
 
 namespace flymon {
 namespace {
 
-using verify::Severity;
 using verify::concur::ExploreOptions;
 using verify::concur::ExploreResult;
 using verify::concur::ModelConfig;
@@ -188,26 +184,32 @@ TEST(ConcurModel, ExecutionBoundReportsTruncationNotSuccess) {
 
 TEST(ConcurModel, EverySeededMutationIsCaught) {
   if (!verify::concur::checker_supported()) GTEST_SKIP() << "TSan build";
-  auto& witness = common::LockWitness::global();
   for (Mutation m : verify::concur::all_mutations()) {
-    witness.clear();
     const ExploreResult r = verify::concur::check_protocol(
         verify::concur::scenario_for(m), ExploreOptions{});
     EXPECT_TRUE(r.failed) << "mutation not caught: "
                           << verify::concur::to_string(m) << " after "
                           << r.executions << " execution(s)";
   }
-  witness.clear();
 }
 
 TEST(ConcurModel, DeadlockMutationsReportBlockedThreads) {
   if (!verify::concur::checker_supported()) GTEST_SKIP() << "TSan build";
-  const ExploreResult r = verify::concur::check_protocol(
-      verify::concur::scenario_for(Mutation::kDroppedDoneNotify),
-      ExploreOptions{});
-  EXPECT_TRUE(r.failed);
-  EXPECT_NE(r.error.find("deadlock"), std::string::npos) << r.error;
-  EXPECT_FALSE(r.trace.empty());  // the failing schedule is reported
+  for (Mutation m :
+       {Mutation::kDroppedDoneNotify, Mutation::kInvertedLockOrder}) {
+    SCOPED_TRACE(verify::concur::to_string(m));
+    const ExploreResult r = verify::concur::check_protocol(
+        verify::concur::scenario_for(m), ExploreOptions{});
+    EXPECT_TRUE(r.failed);
+    EXPECT_NE(r.error.find("deadlock"), std::string::npos) << r.error;
+    EXPECT_FALSE(r.trace.empty());  // the failing schedule is reported
+    if (m == Mutation::kInvertedLockOrder) {
+      // The model checker is the only lock-order referee on the protocol:
+      // the report must name the lock the blocked thread waits on.
+      EXPECT_NE(r.error.find("exec.submit_mu"), std::string::npos)
+          << r.error;
+    }
+  }
 }
 
 TEST(ConcurModel, RelaxedCompletionManifestsAsShardRace) {
@@ -238,96 +240,6 @@ TEST(ConcurRing, EveryWeakenedOrderIsCaught) {
                           << verify::concur::to_string(m) << " after "
                           << r.executions << " execution(s)";
   }
-}
-
-// ---- lock-order analyzer ----
-
-// Each test clears the process-global witness on entry and exit so tests
-// never see each other's edges (declared rules and capability
-// registrations persist by design).
-
-TEST(ConcurLockOrder, CleanWitnessReportsNoErrors) {
-  auto& witness = common::LockWitness::global();
-  witness.clear();
-  // Acquisitions matching the declared protocol direction.
-  witness.inject_sequence({"exec.submit_mu", "exec.job_mu"});
-  const verify::VerifyReport r =
-      verify::Verifier{}.run_one("concur", verify::VerifyContext{});
-  EXPECT_FALSE(r.has_errors()) << r.format();
-  EXPECT_TRUE(r.has_check("concur.lock_order.graph"));
-  witness.clear();
-}
-
-TEST(ConcurLockOrder, InversionAgainstDeclaredFactIsAnError) {
-  auto& witness = common::LockWitness::global();
-  witness.clear();
-  // worker_pool.cpp declares exec.submit_mu before exec.job_mu; witness
-  // the reverse.
-  witness.inject_sequence({"exec.job_mu", "exec.submit_mu"});
-  const verify::VerifyReport r =
-      verify::Verifier{}.run_one("concur", verify::VerifyContext{});
-  EXPECT_TRUE(r.has_errors()) << r.format();
-  EXPECT_TRUE(r.has_check("concur.lock_order.inversion")) << r.format();
-  witness.clear();
-}
-
-TEST(ConcurLockOrder, WitnessedCycleAcrossThreadsIsAnError) {
-  auto& witness = common::LockWitness::global();
-  witness.clear();
-  // Two synthetic locks taken in both orders (as two different threads
-  // would): a cycle in the combined graph with no declared fact involved.
-  witness.inject_sequence({"test.lock_a", "test.lock_b"});
-  witness.inject_sequence({"test.lock_b", "test.lock_a"});
-  const verify::VerifyReport r =
-      verify::Verifier{}.run_one("concur", verify::VerifyContext{});
-  EXPECT_TRUE(r.has_errors()) << r.format();
-  EXPECT_TRUE(r.has_check("concur.lock_order.cycle")) << r.format();
-  witness.clear();
-}
-
-TEST(ConcurLockOrder, UndeclaredEdgeIsAWarningNotAnError) {
-  auto& witness = common::LockWitness::global();
-  witness.clear();
-  witness.inject_sequence({"test.outer", "test.inner"});
-  const verify::VerifyReport r =
-      verify::Verifier{}.run_one("concur", verify::VerifyContext{});
-  EXPECT_FALSE(r.has_errors()) << r.format();
-  EXPECT_TRUE(r.has_check("concur.lock_order.undeclared")) << r.format();
-  witness.clear();
-}
-
-TEST(ConcurLockOrder, DeclaredTransitivityImpliesWitnessedEdge) {
-  auto& witness = common::LockWitness::global();
-  witness.clear();
-  // submit_mu -> job_mu and submit_mu -> done_mu are declared; an edge the
-  // declaration set reaches transitively must not warn.  submit_mu ->
-  // plan_cell is direct; check a chained stack stays clean too.
-  witness.inject_sequence({"exec.submit_mu", "exec.plan_cell"});
-  const verify::VerifyReport r =
-      verify::Verifier{}.run_one("concur", verify::VerifyContext{});
-  EXPECT_FALSE(r.has_errors()) << r.format();
-  EXPECT_FALSE(r.has_check("concur.lock_order.undeclared")) << r.format();
-  witness.clear();
-}
-
-TEST(ConcurLockOrder, ClearDropsEdgesButKeepsCapabilities) {
-  auto& witness = common::LockWitness::global();
-  witness.inject_sequence({"test.ephemeral_a", "test.ephemeral_b"});
-  EXPECT_FALSE(witness.edges().empty());
-  witness.clear();
-  EXPECT_TRUE(witness.edges().empty());
-  EXPECT_EQ(witness.acquisitions(), 0u);
-  // Capability registrations survive clear(): they describe the program.
-  const auto caps = witness.capabilities();
-  bool found = false;
-  for (const auto& c : caps) found = found || c == "test.ephemeral_a";
-  EXPECT_TRUE(found);
-}
-
-TEST(ConcurLockOrder, AnalyzerIsRegisteredInTheVerifier) {
-  const verify::Verifier v;
-  ASSERT_NE(v.find("concur"), nullptr);
-  EXPECT_EQ(v.find("concur")->name(), "concur");
 }
 
 }  // namespace

@@ -3,12 +3,11 @@
 //   flymon_mc --check           exhaustively explore the clean acceptance
 //                               scenario (2 workers x 2 publishes with a
 //                               fence, plus the collector); exit 0 only when
-//                               every inequivalent interleaving passed and
-//                               the lock-order analyzer reports no errors
+//                               every inequivalent interleaving passed
 //   flymon_mc --selftest        run every seeded concurrency mutation on its
 //                               minimal scenario; each must be caught by the
-//                               model checker (race / invariant / deadlock)
-//                               or by the lock-order analyzer (inversion);
+//                               model checker (race / invariant / deadlock —
+//                               an inverted lock order is a deadlock);
 //                               exit 0 only when all are caught
 //   flymon_mc --mutate NAME     run one mutation and print its verdict
 //                               (exit 1 when caught — the expected outcome,
@@ -38,11 +37,9 @@
 #include <string>
 #include <vector>
 
-#include "common/lock_witness.hpp"
 #include "telemetry/export.hpp"
 #include "verify/concur/model.hpp"
 #include "verify/concur/ring_model.hpp"
-#include "verify/verifier.hpp"
 
 namespace {
 
@@ -52,14 +49,6 @@ using flymon::verify::concur::ModelConfig;
 using flymon::verify::concur::Mutation;
 using flymon::verify::concur::RingModelConfig;
 using flymon::verify::concur::RingMutation;
-
-/// Run the `concur` analyzer over whatever the lock witness has
-/// accumulated (no controller/dataplane snapshot: the lock graph is
-/// process-global).
-flymon::verify::VerifyReport analyze_lock_order() {
-  return flymon::verify::Verifier{}.run_one("concur",
-                                            flymon::verify::VerifyContext{});
-}
 
 std::string describe(const ExploreResult& r) {
   std::ostringstream os;
@@ -72,10 +61,16 @@ std::string describe(const ExploreResult& r) {
   return os.str();
 }
 
+bool write_json(const std::string& path, const std::string& text) {
+  if (path.empty() || flymon::telemetry::write_file(path, text)) return true;
+  std::cerr << "error: cannot write '" << path << "'\n";
+  return false;
+}
+
 struct CaseResult {
   std::string name;
   bool caught = false;
-  std::string detector;  ///< "model-checker" / "lock-order" / ""
+  std::string detector;  ///< "model-checker" or "" (missed)
   std::string detail;
   std::uint64_t executions = 0;
 };
@@ -97,74 +92,11 @@ std::string cases_to_json(const std::vector<CaseResult>& cases, bool passed) {
   return os.str();
 }
 
-/// Explore `m`'s minimal scenario with the witness on; decide which
-/// detector (if any) caught it.  The witness is cleared on entry and exit
-/// so mutations never pollute each other or a later clean analysis.
-CaseResult run_mutation(Mutation m, const ExploreOptions& opts) {
-  auto& witness = flymon::common::LockWitness::global();
-  witness.clear();
-  witness.enable(true);
-  const ExploreResult r =
-      flymon::verify::concur::check_protocol(scenario_for(m), opts);
-  witness.enable(false);
-
+/// A seeded mutation is caught when exploring its scenario fails; the
+/// model checker is the only detector.
+CaseResult to_case(std::string name, const ExploreResult& r) {
   CaseResult out;
-  out.name = flymon::verify::concur::to_string(m);
-  out.executions = r.executions;
-  if (r.failed) {
-    out.caught = true;
-    out.detector = "model-checker";
-    out.detail = r.error;
-  } else {
-    const flymon::verify::VerifyReport report = analyze_lock_order();
-    if (report.has_errors()) {
-      out.caught = true;
-      out.detector = "lock-order";
-      out.detail = report.format(flymon::verify::Severity::kError);
-      // format() ends with a newline; keep the detail single-line-ish.
-      while (!out.detail.empty() && out.detail.back() == '\n') {
-        out.detail.pop_back();
-      }
-    } else if (!r.complete) {
-      out.detail = "exploration truncated before any detector fired";
-    } else {
-      out.detail = "exhaustive exploration found nothing";
-    }
-  }
-  witness.clear();
-  return out;
-}
-
-int run_selftest(const ExploreOptions& opts, const std::string& json_path) {
-  std::vector<CaseResult> cases;
-  bool all = true;
-  for (Mutation m : flymon::verify::concur::all_mutations()) {
-    CaseResult c = run_mutation(m, opts);
-    std::cout << (c.caught ? "CAUGHT " : "MISSED ") << c.name << " ["
-              << (c.detector.empty() ? "none" : c.detector) << ", "
-              << c.executions << " execution(s)]\n";
-    if (!c.detail.empty()) std::cout << "  " << c.detail << '\n';
-    all = all && c.caught;
-    cases.push_back(std::move(c));
-  }
-  std::cout << (all ? "selftest passed" : "selftest FAILED") << ": "
-            << cases.size() << " seeded mutation(s)\n";
-  if (!json_path.empty() &&
-      !flymon::telemetry::write_file(json_path, cases_to_json(cases, all))) {
-    std::cerr << "error: cannot write '" << json_path << "'\n";
-    return 1;
-  }
-  return all ? 0 : 1;
-}
-
-/// Explore one seeded ring memory-order weakening.  Ring mutations are
-/// pure memory-model bugs, so the model checker (slot race) is the only
-/// expected detector — no lock-order fallback.
-CaseResult run_ring_mutation(RingMutation m, const ExploreOptions& opts) {
-  const ExploreResult r = flymon::verify::concur::check_ring(
-      flymon::verify::concur::ring_scenario_for(m), opts);
-  CaseResult out;
-  out.name = flymon::verify::concur::to_string(m);
+  out.name = std::move(name);
   out.executions = r.executions;
   if (r.failed) {
     out.caught = true;
@@ -172,32 +104,85 @@ CaseResult run_ring_mutation(RingMutation m, const ExploreOptions& opts) {
     out.detail = r.error;
   } else {
     out.detail = r.complete ? "exhaustive exploration found nothing"
-                            : "exploration truncated before the race fired";
+                            : "exploration truncated before the model "
+                              "checker fired";
   }
   return out;
 }
 
-int run_ring_selftest(const ExploreOptions& opts,
-                      const std::string& json_path) {
+CaseResult run_mutation(Mutation m, const ExploreOptions& opts) {
+  return to_case(
+      flymon::verify::concur::to_string(m),
+      flymon::verify::concur::check_protocol(scenario_for(m), opts));
+}
+
+CaseResult run_ring_mutation(RingMutation m, const ExploreOptions& opts) {
+  return to_case(flymon::verify::concur::to_string(m),
+                 flymon::verify::concur::check_ring(
+                     flymon::verify::concur::ring_scenario_for(m), opts));
+}
+
+/// Run every mutation in `all` through `run`; exit 0 only when all are
+/// caught.  `label` prefixes the verdict line, `noun` counts the cases.
+template <class M, class Run>
+int run_selftest(const std::vector<M>& all, Run run, const char* label,
+                 const char* noun, const std::string& json_path) {
   std::vector<CaseResult> cases;
-  bool all = true;
-  for (RingMutation m : flymon::verify::concur::all_ring_mutations()) {
-    CaseResult c = run_ring_mutation(m, opts);
+  bool passed = true;
+  for (M m : all) {
+    CaseResult c = run(m);
     std::cout << (c.caught ? "CAUGHT " : "MISSED ") << c.name << " ["
               << (c.detector.empty() ? "none" : c.detector) << ", "
               << c.executions << " execution(s)]\n";
     if (!c.detail.empty()) std::cout << "  " << c.detail << '\n';
-    all = all && c.caught;
+    passed = passed && c.caught;
     cases.push_back(std::move(c));
   }
-  std::cout << (all ? "ring selftest passed" : "ring selftest FAILED")
-            << ": " << cases.size() << " seeded weakening(s)\n";
-  if (!json_path.empty() &&
-      !flymon::telemetry::write_file(json_path, cases_to_json(cases, all))) {
-    std::cerr << "error: cannot write '" << json_path << "'\n";
-    return 1;
+  std::cout << label << (passed ? " passed" : " FAILED") << ": "
+            << cases.size() << " seeded " << noun << "(s)\n";
+  if (!write_json(json_path, cases_to_json(cases, passed))) return 1;
+  return passed ? 0 : 1;
+}
+
+/// Run the mutation in `all` named `name`.  Inverted exit like
+/// flymon_verify --mutate: caught (exit 1) is the expected outcome.
+template <class M, class Run>
+int run_mutate(const std::vector<M>& all, Run run, const std::string& name,
+               const char* noun, const std::string& json_path) {
+  for (M m : all) {
+    if (name != flymon::verify::concur::to_string(m)) continue;
+    const CaseResult c = run(m);
+    std::cout << c.name << ": "
+              << (c.caught ? "caught by " + c.detector : "NOT caught")
+              << " after " << c.executions << " execution(s)\n";
+    if (!c.detail.empty()) std::cout << c.detail << '\n';
+    if (!write_json(json_path, cases_to_json({c}, c.caught))) return 1;
+    return c.caught ? 1 : 0;
   }
-  return all ? 0 : 1;
+  std::cerr << "error: unknown " << noun << " '" << name
+            << "' (--list shows them)\n";
+  return 1;
+}
+
+/// Print the verdict of an exhaustive check (`label` names it) and write
+/// its JSON summary.
+int finish_check(const ExploreResult& r, const char* label,
+                 const std::string& json_path) {
+  const bool passed = r.ok();
+  std::cout << label
+            << (passed     ? " passed"
+                : r.failed ? " FAILED"
+                           : " INCOMPLETE (raise --max-executions)")
+            << '\n';
+  std::ostringstream os;
+  os << "{\"passed\": " << (passed ? "true" : "false")
+     << ", \"complete\": " << (r.complete ? "true" : "false")
+     << ", \"failed\": " << (r.failed ? "true" : "false")
+     << ", \"executions\": " << r.executions << ", \"steps\": " << r.steps
+     << ", \"error\": \"" << flymon::telemetry::json_escape(r.error)
+     << "\"}\n";
+  if (!write_json(json_path, os.str())) return 1;
+  return passed ? 0 : 1;
 }
 
 int run_ring_check(const ExploreOptions& opts, const std::string& json_path) {
@@ -208,69 +193,18 @@ int run_ring_check(const ExploreOptions& opts, const std::string& json_path) {
             << " value(s), batch " << cfg.push_batch << "/" << cfg.pop_batch
             << (cfg.republish ? ", republisher" : "") << "): " << describe(r)
             << '\n';
-  const bool passed = r.ok();
-  std::cout << (passed ? "ring model check passed"
-                       : r.failed
-                             ? "ring model check FAILED"
-                             : "ring model check INCOMPLETE (raise "
-                               "--max-executions)")
-            << '\n';
-  if (!json_path.empty()) {
-    std::ostringstream os;
-    os << "{\"passed\": " << (passed ? "true" : "false")
-       << ", \"complete\": " << (r.complete ? "true" : "false")
-       << ", \"failed\": " << (r.failed ? "true" : "false")
-       << ", \"executions\": " << r.executions << ", \"steps\": " << r.steps
-       << ", \"error\": \"" << flymon::telemetry::json_escape(r.error)
-       << "\"}\n";
-    if (!flymon::telemetry::write_file(json_path, os.str())) {
-      std::cerr << "error: cannot write '" << json_path << "'\n";
-      return 1;
-    }
-  }
-  return passed ? 0 : 1;
+  return finish_check(r, "ring model check", json_path);
 }
 
 int run_check(const ModelConfig& cfg, const ExploreOptions& opts,
               const std::string& json_path) {
-  auto& witness = flymon::common::LockWitness::global();
-  witness.clear();
-  witness.enable(true);
   const ExploreResult r = flymon::verify::concur::check_protocol(cfg, opts);
-  witness.enable(false);
   std::cout << "clean protocol (" << cfg.workers << " worker(s), "
             << cfg.publishes << " publish(es), " << cfg.batches
             << " batch(es) x " << cfg.chunks << " chunk(s)"
             << (cfg.collector ? ", collector" : "") << "): " << describe(r)
             << '\n';
-
-  const flymon::verify::VerifyReport report = analyze_lock_order();
-  std::cout << report.format();
-  const bool lock_clean = !report.has_errors();
-  witness.clear();
-
-  const bool passed = r.ok() && lock_clean;
-  std::cout << (passed ? "model check passed"
-                       : r.failed  ? "model check FAILED"
-                         : !r.complete
-                             ? "model check INCOMPLETE (raise --max-executions)"
-                             : "lock-order analysis FAILED")
-            << '\n';
-  if (!json_path.empty()) {
-    std::ostringstream os;
-    os << "{\"passed\": " << (passed ? "true" : "false")
-       << ", \"complete\": " << (r.complete ? "true" : "false")
-       << ", \"failed\": " << (r.failed ? "true" : "false")
-       << ", \"executions\": " << r.executions << ", \"steps\": " << r.steps
-       << ", \"lock_order_clean\": " << (lock_clean ? "true" : "false")
-       << ", \"error\": \"" << flymon::telemetry::json_escape(r.error)
-       << "\"}\n";
-    if (!flymon::telemetry::write_file(json_path, os.str())) {
-      std::cerr << "error: cannot write '" << json_path << "'\n";
-      return 1;
-    }
-  }
-  return passed ? 0 : 1;
+  return finish_check(r, "model check", json_path);
 }
 
 }  // namespace
@@ -357,55 +291,25 @@ int main(int argc, char** argv) {
     return 0;
   }
 
+  const auto mutations = flymon::verify::concur::all_mutations();
+  const auto ring_mutations = flymon::verify::concur::all_ring_mutations();
+  auto run = [&](Mutation m) { return run_mutation(m, opts); };
+  auto run_ring = [&](RingMutation m) { return run_ring_mutation(m, opts); };
   if (!mutate_name.empty()) {
-    for (Mutation m : flymon::verify::concur::all_mutations()) {
-      if (mutate_name == flymon::verify::concur::to_string(m)) {
-        const CaseResult c = run_mutation(m, opts);
-        std::cout << c.name << ": "
-                  << (c.caught ? "caught by " + c.detector : "NOT caught")
-                  << " after " << c.executions << " execution(s)\n";
-        if (!c.detail.empty()) std::cout << c.detail << '\n';
-        if (!json_path.empty() &&
-            !flymon::telemetry::write_file(
-                json_path, cases_to_json({c}, c.caught))) {
-          std::cerr << "error: cannot write '" << json_path << "'\n";
-          return 1;
-        }
-        // Inverted exit like flymon_verify --mutate: caught is the
-        // expected outcome.
-        return c.caught ? 1 : 0;
-      }
-    }
-    std::cerr << "error: unknown mutation '" << mutate_name
-              << "' (--list shows them)\n";
-    return 1;
+    return run_mutate(mutations, run, mutate_name, "mutation", json_path);
   }
-
   if (!ring_mutate_name.empty()) {
-    for (RingMutation m : flymon::verify::concur::all_ring_mutations()) {
-      if (ring_mutate_name == flymon::verify::concur::to_string(m)) {
-        const CaseResult c = run_ring_mutation(m, opts);
-        std::cout << c.name << ": "
-                  << (c.caught ? "caught by " + c.detector : "NOT caught")
-                  << " after " << c.executions << " execution(s)\n";
-        if (!c.detail.empty()) std::cout << c.detail << '\n';
-        if (!json_path.empty() &&
-            !flymon::telemetry::write_file(json_path,
-                                           cases_to_json({c}, c.caught))) {
-          std::cerr << "error: cannot write '" << json_path << "'\n";
-          return 1;
-        }
-        return c.caught ? 1 : 0;  // inverted exit, like --mutate
-      }
-    }
-    std::cerr << "error: unknown ring mutation '" << ring_mutate_name
-              << "' (--list shows them)\n";
-    return 1;
+    return run_mutate(ring_mutations, run_ring, ring_mutate_name,
+                      "ring mutation", json_path);
   }
-
-  if (ring_selftest) return run_ring_selftest(opts, json_path);
+  if (ring_selftest) {
+    return run_selftest(ring_mutations, run_ring, "ring selftest",
+                        "weakening", json_path);
+  }
   if (ring) return run_ring_check(opts, json_path);
-  if (selftest) return run_selftest(opts, json_path);
+  if (selftest) {
+    return run_selftest(mutations, run, "selftest", "mutation", json_path);
+  }
   if (check) return run_check(cfg, opts, json_path);
 
   std::cout << "nothing to do: pass --check, --selftest, --mutate or --list "

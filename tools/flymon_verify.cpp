@@ -18,12 +18,6 @@
 //                                 compiled entry against the interpreted CMU
 //                                 semantics and prove the shard merge sound
 //                                 (exit 1 on any divergence diagnostic)
-//   flymon_verify --concur        run the scenario with the lock witness on
-//                                 (deploys, a 2-worker sharded batch, a
-//                                 fence + merge), then run the `concur`
-//                                 lock-order analyzer over the declared +
-//                                 witnessed acquisition graph (exit 1 on
-//                                 any cycle/inversion error)
 //   flymon_verify --plan-diff F   stage the 'plan' sub-commands from file F
 //                                 (one per line, without the 'plan ' prefix,
 //                                 e.g. "add name=x ..." / "remove 3") against
@@ -45,12 +39,10 @@
 #include <string>
 #include <vector>
 
-#include "common/lock_witness.hpp"
 #include "control/controller.hpp"
 #include "control/crossstack.hpp"
 #include "control/shell.hpp"
 #include "core/flymon_dataplane.hpp"
-#include "packet/trace_gen.hpp"
 #include "telemetry/export.hpp"
 #include "verify/mutations.hpp"
 #include "verify/planner.hpp"
@@ -124,7 +116,6 @@ int main(int argc, char** argv) {
   bool paranoid = false;
   bool dataflow = false;
   bool translate = false;
-  bool concur = false;
   std::string selftest_prefix;
   std::string mutate_name;
   std::string scenario_path;
@@ -145,8 +136,6 @@ int main(int argc, char** argv) {
       dataflow = true;
     } else if (arg == "--translate") {
       translate = true;
-    } else if (arg == "--concur") {
-      concur = true;
     } else if (arg == "--scenario" && i + 1 < argc) {
       scenario_path = argv[++i];
     } else if (arg == "--plan-diff" && i + 1 < argc) {
@@ -155,7 +144,7 @@ int main(int argc, char** argv) {
       json_path = argv[++i];
     } else if (arg == "--help" || arg == "-h") {
       std::cout << "usage: flymon_verify [--scenario <file>] [--paranoid] "
-                   "[--dataflow] [--translate] [--concur] "
+                   "[--dataflow] [--translate] "
                    "[--plan-diff <opsfile>] [--selftest[=prefix]] "
                    "[--mutate <name>] [--json <path>]\n";
       return 0;
@@ -183,9 +172,6 @@ int main(int argc, char** argv) {
   flymon::control::Controller ctl(dp);
   ctl.set_paranoid(paranoid);
   flymon::control::Shell shell(ctl);
-  // Witness the scenario's own deploys too (publish_mu edges), not just
-  // the sharded workload below.
-  if (concur) flymon::common::LockWitness::global().enable(true);
   for (const std::string& line : lines) {
     const auto hash = line.find('#');
     std::istringstream trimmed(hash == std::string::npos ? line
@@ -231,39 +217,6 @@ int main(int argc, char** argv) {
       return 1;
     }
     return diff.find("note: plan FAILED") == std::string::npos ? 0 : 1;
-  }
-
-  if (concur) {
-    // Exercise the full lock protocol with the witness on: a 2-worker
-    // sharded batch (submit/job/done hand-off), a fence + merge (publish
-    // path inside the pool lock), then analyze the combined declared +
-    // witnessed acquisition graph.
-    auto& witness = flymon::common::LockWitness::global();
-    dp.enable_parallel(2);
-    flymon::TraceConfig tcfg;
-    tcfg.num_flows = 64;
-    tcfg.num_packets = 2048;
-    tcfg.seed = 7;
-    const auto trace = flymon::TraceGenerator::generate(tcfg);
-    dp.process_batch_parallel(trace);
-    dp.merge_shards();
-    dp.disable_parallel();
-    witness.enable(false);
-
-    flymon::verify::VerifyContext cctx;
-    cctx.controller = &ctl;
-    cctx.dataplane = &dp;
-    const flymon::verify::VerifyReport creport =
-        flymon::verify::Verifier{}.run_one("concur", cctx);
-    std::cout << creport.format();
-    std::cout << witness.acquisitions() << " witnessed acquisition(s), "
-              << witness.edges().size() << " edge(s), "
-              << creport.count(flymon::verify::Severity::kError)
-              << " error(s), "
-              << creport.count(flymon::verify::Severity::kWarning)
-              << " warning(s)\n";
-    if (!write_json(json_path, flymon::verify::to_json(creport))) return 1;
-    return creport.has_errors() ? 1 : 0;
   }
 
   if (translate) {
