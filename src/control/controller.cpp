@@ -964,10 +964,12 @@ double Controller::estimate_cardinality(std::uint32_t id) const {
     for (std::uint32_t i = up.partition.base; i < up.partition.end(); ++i) {
       set += static_cast<std::uint64_t>(std::popcount(reg.read(i)));
     }
+    const double m = static_cast<double>(total_bits);
     const std::uint64_t zeros = total_bits - set;
-    if (zeros == 0) return static_cast<double>(total_bits);
-    return -static_cast<double>(total_bits) *
-           std::log(static_cast<double>(zeros) / static_cast<double>(total_bits));
+    // A full bitmap reports the estimator's ceiling m ln m (its value at one
+    // zero bit), so the estimate never falls as the last bit fills.
+    if (zeros == 0) return m * std::log(m);
+    return -m * std::log(static_cast<double>(zeros) / m);
   }
   // HyperLogLog: registers hold max hash slices; rho = leading ones + 1.
   const unsigned b = log2_floor(up.partition.size);

@@ -208,29 +208,15 @@ void ExecPlan::build_hot() {
   }
 }
 
-template <bool kProfiled>
-void ExecPlan::run_cmu(const CompiledCmu& cmu, dataplane::RegisterArray& reg,
-                       const Packet& pkt, const CandidateKey& key,
-                       const BatchScratch& s, std::size_t n, std::size_t p,
-                       std::uint32_t* chains, std::uint64_t& updates,
-                       std::uint64_t& sampled_out, std::uint64_t& prep_aborts,
-                       std::array<std::uint64_t, 5>& op_counts,
-                       [[maybe_unused]] trace::BatchStageSample* prof) const {
-  // Stage lap timer: compiles to nothing in the <false> instantiation, so
-  // the un-sampled hot path is the exact pre-profiler code.  Filter match
-  // and address translation were already lapped by the batched SoA passes;
-  // everything scalar that remains here attributes to the SALU stage.
-  [[maybe_unused]] std::uint64_t lap_t = 0;
-  if constexpr (kProfiled) lap_t = trace::now_cycles();
-  const auto lap = [&]([[maybe_unused]] trace::Stage st,
-                       [[maybe_unused]] std::uint64_t items) {
-    if constexpr (kProfiled) {
-      const std::uint64_t now = trace::now_cycles();
-      prof->add(st, now - lap_t, items);
-      lap_t = now;
-    }
-  };
-
+// Forced inline: it runs once per packet per CMU, and with both
+// run_batch_impl instantiations calling it gcc would keep it out of line
+// (a call per packet per CMU costs batched throughput).
+[[gnu::always_inline]] inline void ExecPlan::run_cmu(
+    const CompiledCmu& cmu, dataplane::RegisterArray& reg, const Packet& pkt,
+    const CandidateKey& key, const BatchScratch& s, std::size_t n,
+    std::size_t p, std::uint32_t* chains, std::uint64_t& updates,
+    std::uint64_t& sampled_out, std::uint64_t& prep_aborts,
+    std::array<std::uint64_t, 5>& op_counts) const {
   const std::uint32_t* lanes = s.lanes.data();
   for (std::uint32_t i = cmu.entry_begin; i < cmu.entry_end; ++i) {
     // Initialization: precomputed filter verdict + sampling coin.
@@ -260,7 +246,6 @@ void ExecPlan::run_cmu(const CompiledCmu& cmu, dataplane::RegisterArray& reg,
         const double u = static_cast<double>(p1) * 0x1.0p-32;
         if (u >= e.coupon_total) {  // no coupon drawn: no update
           ++prep_aborts;
-          lap(trace::Stage::kSalu, 1);
           return;
         }
         const auto idx =
@@ -335,7 +320,6 @@ void ExecPlan::run_cmu(const CompiledCmu& cmu, dataplane::RegisterArray& reg,
     }
     ++updates;
     ++op_counts[static_cast<std::size_t>(e.op)];
-    lap(trace::Stage::kSalu, 1);
     return;  // at most one entry executes per CMU per packet
   }
 }
@@ -367,7 +351,6 @@ void ExecPlan::run_batch_impl(std::span<const Packet> pkts, BatchScratch& s,
   const std::size_t num_entries = entries_.size();
 
   trace::BatchStageSample sample;
-  trace::BatchStageSample* const prof = kProfiled ? &sample : nullptr;
   [[maybe_unused]] std::uint64_t t0 = 0;
   if constexpr (kProfiled) t0 = trace::now_cycles();
   const auto stage_lap = [&]([[maybe_unused]] trace::Stage st,
@@ -460,10 +443,14 @@ void ExecPlan::run_batch_impl(std::span<const Packet> pkts, BatchScratch& s,
             }
           }
         }
-        run_cmu<kProfiled>(cmu, reg, pkts[p], s.keys[p], s, n, p,
-                           &s.chains[p * num_chains], updates, sampled_out,
-                           prep_aborts, op_counts, prof);
+        run_cmu(cmu, reg, pkts[p], s.keys[p], s, n, p,
+                &s.chains[p * num_chains], updates, sampled_out, prep_aborts,
+                op_counts);
       }
+      // Everything scalar in the packet loop (sampling coins, preps,
+      // chains, the SALU op) attributes to the SALU stage: one lap per
+      // CMU, one item per entry that ran or aborted in prep.
+      stage_lap(trace::Stage::kSalu, updates + prep_aborts);
       if (b != nullptr) {
         std::uint64_t* slot = &b->counters[groups_.size() * 2 + c * 8];
         slot[0] += updates;

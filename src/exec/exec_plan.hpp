@@ -35,10 +35,6 @@ namespace flymon {
 class FlyMonDataPlane;
 }  // namespace flymon
 
-namespace flymon::trace {
-struct BatchStageSample;
-}  // namespace flymon::trace
-
 namespace flymon::exec {
 
 /// Which controller task owns one installed (group, cmu, phys_id) entry.
@@ -338,26 +334,24 @@ class ExecPlan {
   friend class PlanCompiler;
   friend struct PlanMutator;
 
-  // Both walk functions are templated on kProfiled: the <false>
-  // instantiation contains no timing code at all (it is the plain hot
-  // path), the <true> instantiation laps trace::now_cycles() around the
-  // compression / filter / address / SALU stages into `prof`.  run_batch /
-  // run_batch_sharded pick the instantiation per batch via
-  // trace::StageProfiler::sample_batch() — one relaxed load when profiling
-  // is off.
   // The scalar per-packet remainder of one CMU: sampling coin, preps,
   // chain reads/writes and the SALU op, in the exact interpreted order.
   // Filter matches and translated addresses arrive precomputed in the
   // scratch SoA buffers (`s.match` / `s.addr`, entry-major, stride n);
   // hash lanes are slot-major (`s.lanes[slot * n + p]`).
-  template <bool kProfiled>
   void run_cmu(const CompiledCmu& cmu, dataplane::RegisterArray& reg,
                const Packet& pkt, const CandidateKey& key,
                const BatchScratch& s, std::size_t n, std::size_t p,
                std::uint32_t* chains, std::uint64_t& updates,
                std::uint64_t& sampled_out, std::uint64_t& prep_aborts,
-               std::array<std::uint64_t, 5>& op_counts,
-               trace::BatchStageSample* prof) const;
+               std::array<std::uint64_t, 5>& op_counts) const;
+  // Templated on kProfiled: the <false> instantiation contains no timing
+  // code at all (it is the plain hot path), the <true> instantiation laps
+  // trace::now_cycles() once per batch stage — compression, filter,
+  // address — and once per CMU packet loop for SALU.  run_batch /
+  // run_batch_sharded pick the instantiation per batch via
+  // trace::StageProfiler::sample_batch() — one relaxed load when profiling
+  // is off.
   template <bool kProfiled>
   void run_batch_impl(std::span<const Packet> pkts, BatchScratch& scratch,
                       const ShardBinding* binding) const;

@@ -2,7 +2,7 @@
 //   - source equivalence: TraceStream, GeneratorSource and materialize()
 //     produce byte-identical packet sequences from one seeded definition;
 //   - ring semantics: batch claim/commit, partial accept, wraparound and
-//     occupancy on the shipped SPSC/MPSC rings;
+//     occupancy on the shipped SPSC ring;
 //   - golden streaming-vs-batch: drain(source) through the sharded hot
 //     path leaves byte-identical registers and query answers vs
 //     process_batch, including a mid-stream resize/deploy;
@@ -270,45 +270,6 @@ TEST(IngestRing, BatchPushPartialAcceptAndWraparound) {
   }
   std::vector<int> drain(8);
   EXPECT_EQ(ring.try_pop(drain), 3u);
-  EXPECT_TRUE(ring.empty());
-}
-
-TEST(IngestRing, MpscSerialisesProducers) {
-  ingest::BasicMpscRing<common::StdSync, std::uint64_t> ring(1 << 10);
-  constexpr int kProducers = 3;
-  constexpr std::uint64_t kPer = 2'000;
-
-  std::vector<std::thread> producers;
-  for (int p = 0; p < kProducers; ++p) {
-    producers.emplace_back([&ring, p] {
-      for (std::uint64_t v = 0; v < kPer;) {
-        const std::uint64_t tagged[1] = {static_cast<std::uint64_t>(p) << 32 | v};
-        if (ring.try_push(std::span<const std::uint64_t>(tagged, 1)) == 1) {
-          ++v;
-        } else {
-          std::this_thread::yield();
-        }
-      }
-    });
-  }
-
-  std::vector<std::uint64_t> per_next(kProducers, 0);
-  std::uint64_t total = 0;
-  std::vector<std::uint64_t> buf(64);
-  while (total < kProducers * kPer) {
-    const std::size_t n = ring.try_pop(buf);
-    for (std::size_t i = 0; i < n; ++i) {
-      const auto p = static_cast<int>(buf[i] >> 32);
-      const std::uint64_t v = buf[i] & 0xFFFF'FFFF;
-      ASSERT_LT(p, kProducers);
-      // Per-producer FIFO survives the mutex-serialised multi-producer path.
-      ASSERT_EQ(v, per_next[p]) << "producer " << p << " reordered";
-      ++per_next[p];
-    }
-    total += n;
-    if (n == 0) std::this_thread::yield();
-  }
-  for (auto& t : producers) t.join();
   EXPECT_TRUE(ring.empty());
 }
 

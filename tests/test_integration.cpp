@@ -2,6 +2,9 @@
 // data plane with accuracy assertions against exact ground truth.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <vector>
+
 #include "analysis/metrics.hpp"
 #include "control/controller.hpp"
 #include "packet/trace_gen.hpp"
@@ -125,6 +128,46 @@ TEST(Integration, CounterBraidsTotalCounts) {
   EXPECT_LT(are, 0.2) << "layer-1 + layer-2 must reconstruct counts";
 }
 
+/// `n` copies of one five-tuple flow.
+std::vector<Packet> one_flow(std::size_t n) {
+  Packet p;
+  p.ft = {0x0A000001, 0x0A000002, 1234, 80, 6};
+  p.wire_bytes = 64;
+  return std::vector<Packet>(n, p);
+}
+
+TEST(Integration, TowerSkipsSaturatedRow) {
+  FlyMonDataPlane dp(9);
+  control::Controller ctl(dp);
+  TaskSpec s;
+  s.key = FlowKeySpec::five_tuple();
+  s.algorithm = Algorithm::kTowerSketch;
+  s.memory_buckets = 4096;
+  s.rows = 3;
+  const auto r = ctl.add_task(s);
+  ASSERT_TRUE(r.ok) << r.error;
+  const auto trace = one_flow(300);
+  dp.process_all(trace);
+  // Rows are {32, 16, 8} bits wide: the 8-bit row pins at 255 and must
+  // be skipped, not taken as the minimum.
+  EXPECT_EQ(ctl.query_value(r.task_id, trace[0]), 300u);
+}
+
+TEST(Integration, CounterBraidsCarriesPastLayer1Cap) {
+  FlyMonDataPlane dp(9);
+  control::Controller ctl(dp);
+  TaskSpec s;
+  s.key = FlowKeySpec::five_tuple();
+  s.algorithm = Algorithm::kCounterBraids;
+  s.memory_buckets = 4096;
+  const auto r = ctl.add_task(s);
+  ASSERT_TRUE(r.ok) << r.error;
+  const auto trace = one_flow(3000);
+  dp.process_all(trace);
+  // Layer 1 stops at its 1024 cap; layer 2 carries the other 1976.
+  EXPECT_EQ(ctl.query_value(r.task_id, trace[0]), 3000u);
+}
+
 TEST(Integration, LinearCountingCardinality) {
   World w(20'000, 60'000, 0.3);
   TaskSpec s;
@@ -138,6 +181,32 @@ TEST(Integration, LinearCountingCardinality) {
   const double truth =
       static_cast<double>(ExactStats::cardinality(w.trace, FlowKeySpec::five_tuple()));
   EXPECT_LT(analysis::relative_error(truth, w.ctl.estimate_cardinality(r.task_id)), 0.05);
+}
+
+TEST(Integration, LinearCountingSaturatedBitmapReportsMLnM) {
+  // A 1024-bucket register lets the task take a 32-bucket (1024-bit)
+  // partition, far fewer bits than the trace's distinct flows.
+  FlyMonDataPlane dp(1, CmuGroupConfig{.register_buckets = 1024});
+  control::Controller ctl(dp);
+  TaskSpec s;
+  s.attribute = AttributeKind::kDistinct;
+  s.param = ParamSpec::compressed(FlowKeySpec::five_tuple());
+  s.algorithm = Algorithm::kLinearCounting;
+  s.memory_buckets = 32;
+  const auto r = ctl.add_task(s);
+  ASSERT_TRUE(r.ok) << r.error;
+  TraceConfig cfg;
+  cfg.num_flows = 20'000;
+  cfg.num_packets = 60'000;
+  cfg.zipf_alpha = 0.3;
+  dp.process_all(TraceGenerator::generate(cfg));
+  const std::uint32_t buckets = ctl.task(r.task_id)->rows.at(0).units.at(0).partition.size;
+  ASSERT_EQ(buckets, 32u);
+  const double m = 32.0 * buckets;
+  // With no zero bit left the estimator's upper end is m ln m: the value
+  // at one zero bit.  Returning m would make the estimate fall ~ln m-fold
+  // as the last bit fills.
+  EXPECT_DOUBLE_EQ(ctl.estimate_cardinality(r.task_id), m * std::log(m));
 }
 
 TEST(Integration, MracSizeDistributionAndEntropy) {

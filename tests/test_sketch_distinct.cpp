@@ -1,16 +1,12 @@
-// Tests for distinct/existence baselines: BloomFilter, LinearCounting,
-// HyperLogLog, BeauCoup, UnivMon.
+// Tests for distinct-count baselines: HyperLogLog, BeauCoup, UnivMon.
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <unordered_set>
 
 #include "common/rng.hpp"
 #include "packet/flowkey.hpp"
 #include "sketch/beaucoup.hpp"
-#include "sketch/bloom_filter.hpp"
 #include "sketch/hyperloglog.hpp"
-#include "sketch/linear_counting.hpp"
 #include "sketch/univmon.hpp"
 
 namespace flymon::sketch {
@@ -20,66 +16,6 @@ std::vector<std::uint8_t> key(std::uint64_t id) {
   std::vector<std::uint8_t> k(8);
   for (int i = 0; i < 8; ++i) k[i] = static_cast<std::uint8_t>(id >> (8 * i));
   return k;
-}
-
-// -------- Bloom filter --------
-
-TEST(Bloom, NoFalseNegatives) {
-  BloomFilter bf(1 << 16, 3);
-  for (std::uint64_t i = 0; i < 2000; ++i) bf.insert(key(i));
-  for (std::uint64_t i = 0; i < 2000; ++i) EXPECT_TRUE(bf.contains(key(i)));
-}
-
-TEST(Bloom, FalsePositiveRateNearTheory) {
-  const std::uint64_t m = 1 << 16;
-  const unsigned k = 3;
-  const std::uint64_t n = 5000;
-  BloomFilter bf(m, k);
-  for (std::uint64_t i = 0; i < n; ++i) bf.insert(key(i));
-  std::size_t fp = 0;
-  const std::size_t probes = 20000;
-  for (std::uint64_t i = 0; i < probes; ++i) fp += bf.contains(key(1'000'000 + i));
-  const double expected = std::pow(1.0 - std::exp(-double(k * n) / m), k);
-  EXPECT_NEAR(fp / double(probes), expected, 0.01);
-}
-
-TEST(Bloom, FillRatio) {
-  BloomFilter bf(1024, 1);
-  EXPECT_DOUBLE_EQ(bf.fill_ratio(), 0.0);
-  for (std::uint64_t i = 0; i < 200; ++i) bf.insert(key(i));
-  EXPECT_GT(bf.fill_ratio(), 0.1);
-  EXPECT_LT(bf.fill_ratio(), 0.3);
-  bf.clear();
-  EXPECT_DOUBLE_EQ(bf.fill_ratio(), 0.0);
-}
-
-TEST(Bloom, RejectsBadArgs) {
-  EXPECT_THROW(BloomFilter(0, 3), std::invalid_argument);
-  EXPECT_THROW(BloomFilter(64, 0), std::invalid_argument);
-}
-
-// -------- Linear counting --------
-
-TEST(LinearCounting, AccurateBelowCapacity) {
-  LinearCounting lc(1 << 16);
-  for (std::uint64_t i = 0; i < 8000; ++i) {
-    lc.insert(key(i));
-    lc.insert(key(i));  // duplicates must not count
-  }
-  EXPECT_NEAR(lc.estimate(), 8000.0, 300.0);
-}
-
-TEST(LinearCounting, ZeroWhenEmpty) {
-  LinearCounting lc(1024);
-  EXPECT_DOUBLE_EQ(lc.estimate(), 0.0);
-}
-
-TEST(LinearCounting, LoadBitMatchesInsert) {
-  LinearCounting a(4096), b(4096);
-  a.insert(key(5));
-  // Manual bit loading reproduces insert (same hash path).
-  b.load_bit(hash64(std::span<const std::uint8_t>(key(5).data(), 8), 0x11C0ull) % 4096);
-  EXPECT_DOUBLE_EQ(a.estimate(), b.estimate());
 }
 
 // -------- HyperLogLog --------

@@ -1,18 +1,14 @@
 // Tests for the frequency-attribute baseline sketches: CountMin,
-// CountSketch, SuMax, TowerSketch, MRAC, CounterBraids.
+// CountSketch, MRAC.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <map>
 
 #include "common/rng.hpp"
-#include "packet/flowkey.hpp"
 #include "sketch/count_min.hpp"
 #include "sketch/count_sketch.hpp"
-#include "sketch/counter_braids.hpp"
 #include "sketch/mrac.hpp"
-#include "sketch/sumax.hpp"
-#include "sketch/tower.hpp"
 
 namespace flymon::sketch {
 namespace {
@@ -92,100 +88,6 @@ TEST(CountSketch, F2Estimate) {
   EXPECT_NEAR(cs.f2_estimate(), f2, 0.2 * f2);
 }
 
-// -------- SuMax --------
-
-TEST(SuMax, SumModeExactAtLowLoad) {
-  SuMax s(SuMaxMode::kSum, 3, 4096);
-  const auto w = workload(50);
-  for (const auto& [id, cnt] : w) s.update(key(id), cnt);
-  for (const auto& [id, cnt] : w) EXPECT_EQ(s.query(key(id)), cnt);
-}
-
-TEST(SuMax, SumModeErrorBoundedUnderCollisions) {
-  // The approximate conservative update may *slightly* under- or
-  // over-estimate (unlike plain CMS it is not one-sided), but errors stay
-  // small relative to flow sizes.
-  SuMax s(SuMaxMode::kSum, 3, 512);
-  const auto w = workload(1000);
-  for (const auto& [id, cnt] : w) s.update(key(id), cnt);
-  double abs_err = 0, total = 0;
-  for (const auto& [id, cnt] : w) {
-    abs_err += std::abs(static_cast<double>(s.query(key(id))) - cnt);
-    total += cnt;
-  }
-  EXPECT_LT(abs_err / total, 0.5);
-}
-
-TEST(SuMax, SumModeBeatsOrMatchesCountMin) {
-  // Conservative-style update must not be worse than plain CMS on the same
-  // geometry and workload.
-  SuMax s(SuMaxMode::kSum, 3, 256);
-  CountMin cms(3, 256);
-  Rng rng(9);
-  std::map<std::uint64_t, std::uint64_t> truth;
-  for (int i = 0; i < 20000; ++i) {
-    const std::uint64_t id = rng.next_below(3000);
-    truth[id] += 1;
-    s.update(key(id), 1);
-    cms.update(key(id), 1);
-  }
-  double err_s = 0, err_c = 0;
-  for (const auto& [id, cnt] : truth) {
-    err_s += static_cast<double>(s.query(key(id))) - static_cast<double>(cnt);
-    err_c += static_cast<double>(cms.query(key(id))) - static_cast<double>(cnt);
-  }
-  EXPECT_LE(err_s, err_c + 1e-9);
-}
-
-TEST(SuMax, MaxModeTracksMaximum) {
-  SuMax s(SuMaxMode::kMax, 3, 1024);
-  s.update(key(7), 10);
-  s.update(key(7), 99);
-  s.update(key(7), 55);
-  EXPECT_EQ(s.query(key(7)), 99u);
-}
-
-TEST(SuMax, MaxModeCollisionsOnlyInflate) {
-  SuMax s(SuMaxMode::kMax, 2, 8);
-  std::map<std::uint64_t, std::uint32_t> truth;
-  Rng rng(3);
-  for (int i = 0; i < 500; ++i) {
-    const std::uint64_t id = rng.next_below(50);
-    const auto v = static_cast<std::uint32_t>(rng.next_below(1000));
-    truth[id] = std::max(truth[id], v);
-    s.update(key(id), v);
-  }
-  for (const auto& [id, mx] : truth) EXPECT_GE(s.query(key(id)), mx);
-}
-
-// -------- TowerSketch --------
-
-TEST(Tower, ExactForSmallCountsAtLowLoad) {
-  TowerSketch t({8, 16, 32}, 64 * 1024);
-  for (const auto& [id, cnt] : workload(60)) t.update(key(id), cnt);
-  for (const auto& [id, cnt] : workload(60)) EXPECT_EQ(t.query(key(id)), cnt);
-}
-
-TEST(Tower, SaturatedLevelsAreSkipped) {
-  TowerSketch t({2, 32}, 1024);
-  // Push one key beyond the 2-bit level's capacity (3).
-  for (int i = 0; i < 100; ++i) t.update(key(42));
-  EXPECT_EQ(t.query(key(42)), 100u) << "wide level must take over";
-}
-
-TEST(Tower, NeverUnderestimatesBelowSaturation) {
-  TowerSketch t({8, 16}, 2048);
-  const auto w = workload(500);
-  for (const auto& [id, cnt] : w) t.update(key(id), cnt);
-  for (const auto& [id, cnt] : w) EXPECT_GE(t.query(key(id)) + 1, cnt);
-}
-
-TEST(Tower, RejectsBadLevels) {
-  EXPECT_THROW(TowerSketch({}, 100), std::invalid_argument);
-  EXPECT_THROW(TowerSketch({0}, 100), std::invalid_argument);
-  EXPECT_THROW(TowerSketch({33}, 100), std::invalid_argument);
-}
-
 // -------- MRAC --------
 
 TEST(Mrac, FlowCountEstimate) {
@@ -227,61 +129,6 @@ TEST(Mrac, EntropyOfDistributionHelper) {
   // 4 flows of size 1 => uniform over 4 packets => ln 4.
   std::map<std::uint32_t, double> dist{{1, 4.0}};
   EXPECT_NEAR(Mrac::entropy_of_distribution(dist), std::log(4.0), 1e-9);
-}
-
-// -------- CounterBraids --------
-
-FlowKeyValue fkv(std::uint32_t id) {
-  Packet p;
-  p.ft.src_ip = id;
-  return extract_flow_key(p, FlowKeySpec::src_ip());
-}
-
-TEST(CounterBraids, DecodesExactlyAtLightLoad) {
-  CounterBraids cb(4096, 8, 3, 512, 32, 2);
-  std::vector<FlowKeyValue> flows;
-  std::map<std::uint32_t, std::uint64_t> truth;
-  for (std::uint32_t i = 1; i <= 100; ++i) {
-    flows.push_back(fkv(i));
-    truth[i] = (i % 19) + 1;
-    const auto& k = flows.back();
-    cb.update({k.bytes.data(), k.bytes.size()},
-              static_cast<std::uint32_t>(truth[i]));
-  }
-  const auto decoded = cb.decode(flows);
-  unsigned exact = 0;
-  for (std::uint32_t i = 1; i <= 100; ++i) {
-    if (decoded.at(fkv(i)) == truth[i]) ++exact;
-  }
-  EXPECT_GE(exact, 95u) << "light braid loads decode (nearly) exactly";
-}
-
-TEST(CounterBraids, CarriesOverflowToLayer2) {
-  CounterBraids cb(64, 4, 2, 64, 32, 2);  // 4-bit layer-1 wraps at 16
-  const auto k = fkv(7);
-  for (int i = 0; i < 1000; ++i) cb.update({k.bytes.data(), k.bytes.size()});
-  // Upper bound must see (roughly) the full 1000 despite 4-bit counters.
-  EXPECT_GE(cb.query_upper_bound({k.bytes.data(), k.bytes.size()}), 1000u);
-}
-
-TEST(CounterBraids, UpperBoundNeverUnderestimates) {
-  CounterBraids cb(256, 8, 3, 128, 32, 2);
-  std::map<std::uint32_t, std::uint64_t> truth;
-  for (std::uint32_t i = 1; i <= 60; ++i) {
-    truth[i] = i * 7;
-    const auto k = fkv(i);
-    cb.update({k.bytes.data(), k.bytes.size()}, static_cast<std::uint32_t>(truth[i]));
-  }
-  for (std::uint32_t i = 1; i <= 60; ++i) {
-    const auto k = fkv(i);
-    EXPECT_GE(cb.query_upper_bound({k.bytes.data(), k.bytes.size()}) + 1, truth[i]);
-  }
-}
-
-TEST(CounterBraids, RejectsBadGeometry) {
-  EXPECT_THROW(CounterBraids(0, 8, 3, 16, 32, 2), std::invalid_argument);
-  EXPECT_THROW(CounterBraids(16, 32, 3, 16, 32, 2), std::invalid_argument);
-  EXPECT_THROW(CounterBraids(16, 8, 0, 16, 32, 2), std::invalid_argument);
 }
 
 // -------- parameterized sweeps --------

@@ -439,6 +439,9 @@ TEST(StageProfiler, ProfiledPathMatchesUnprofiledRegisters) {
             trace.size());
   EXPECT_GE(stats[static_cast<std::size_t>(Stage::kFilter)].items,
             trace.size());
+  // The unfiltered 3-row CMS runs one SALU op per packet per row.
+  EXPECT_EQ(stats[static_cast<std::size_t>(Stage::kSalu)].items,
+            trace.size() * cms_spec().rows);
 }
 
 TEST(StageProfiler, SamplingRateGatesAttribution) {
