@@ -27,7 +27,7 @@ int main() {
     spec.memory_buckets = buckets;
     spec.rows = 3;
     auto inst = bench::deploy_flymon(spec);
-    inst.dp->process_all(trace);
+    inst.dp->process_batch(trace);
     const double are_sliced =
         analysis::frequency_are(truth, [&](const FlowKeyValue& k) {
           return inst.ctl->query_value(inst.task_id, packet_from_candidate_key(k.bytes));

@@ -35,7 +35,7 @@ double are_for(bool force_xor, std::uint32_t buckets, const std::vector<Packet>&
   spec.rows = 3;
   const auto r = ctl.add_task(spec);
   if (!r.ok) return -1;
-  dp.process_all(trace);
+  dp.process_batch(trace);
   return analysis::frequency_are(truth, [&](const FlowKeyValue& k) {
     return ctl.query_value(r.task_id, packet_from_candidate_key(k.bytes));
   });

@@ -105,7 +105,7 @@ int main() {
     // Fresh epoch: clear data-plane state, then measure.
     dp.clear_registers();
     static_cms.clear();
-    dp.process_all(epochs[e]);
+    dp.process_batch(epochs[e]);
     for (const Packet& p : epochs[e]) {
       if (a.filter.matches(p.ft)) {
         const FlowKeyValue k = extract_flow_key(p, FlowKeySpec::src_ip());

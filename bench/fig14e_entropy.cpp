@@ -17,7 +17,7 @@ double flymon_mrac_re(std::size_t mem_bytes, const std::vector<Packet>& trace,
       static_cast<std::uint32_t>(std::max<std::size_t>(64, mem_bytes / 4));
   auto inst = bench::deploy_flymon(spec);
   if (!inst.ok) return -1;
-  inst.dp->process_all(trace);
+  inst.dp->process_batch(trace);
   return analysis::relative_error(truth, inst.ctl->estimate_entropy(inst.task_id));
 }
 

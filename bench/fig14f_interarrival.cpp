@@ -19,7 +19,7 @@ double interarrival_are(unsigned d, std::size_t mem_bytes,
       std::max<std::size_t>(64, mem_bytes / (4ull * 3 * d)));
   auto inst = bench::deploy_flymon(spec);
   if (!inst.ok) return -1;
-  inst.dp->process_all(trace);
+  inst.dp->process_batch(trace);
 
   std::vector<std::pair<double, double>> pairs;
   for (const auto& [k, gap] : truth) {

@@ -78,7 +78,7 @@ void BM_CmuGroupProcess(benchmark::State& state) {
   const auto trace = small_trace();
   std::size_t i = 0;
   for (auto _ : state) {
-    dp.process(trace[i++ % trace.size()]);
+    dp.process_batch({&trace[i++ % trace.size()], 1});
   }
   state.SetItemsProcessed(state.iterations());
 }
@@ -122,7 +122,7 @@ void BM_FullPipelineInterpreted(benchmark::State& state) {
   const auto trace = small_trace();
   std::size_t i = 0;
   for (auto _ : state) {
-    dp.process(trace[i++ % trace.size()]);
+    dp.process_batch({&trace[i++ % trace.size()], 1});
   }
   state.SetItemsProcessed(state.iterations());
 }
@@ -135,7 +135,7 @@ void BM_FullPipelineCompiled(benchmark::State& state) {
   const auto trace = small_trace();
   std::size_t i = 0;
   for (auto _ : state) {
-    dp.process(trace[i++ % trace.size()]);
+    dp.process_batch({&trace[i++ % trace.size()], 1});
   }
   state.SetItemsProcessed(state.iterations());
 }
@@ -167,7 +167,7 @@ void BM_FullPipelineSharded(benchmark::State& state) {
   dp.enable_parallel(static_cast<unsigned>(state.range(0)));
   const auto trace = small_trace();
   for (auto _ : state) {
-    dp.process_batch_parallel(trace);  // whole trace per iteration
+    dp.process_batch(trace);  // whole trace per iteration
   }
   dp.merge_shards();
   const auto stats = dp.parallel_stats();
@@ -276,7 +276,7 @@ void emit_stage_breakdown(bench::JsonReport& report) {
     const auto trace = small_trace();
     for (int i = 0; i < 4; ++i) dp.process_batch(trace);
     dp.enable_parallel(2);
-    for (int i = 0; i < 4; ++i) dp.process_batch_parallel(trace);
+    for (int i = 0; i < 4; ++i) dp.process_batch(trace);
     dp.merge_shards();
   }
   const auto stats = prof.snapshot();

@@ -41,7 +41,7 @@ int main() {
       cfg.num_flows = flows;
       cfg.num_packets = packets;
       cfg.seed = seed++;
-      dataplane.process_all(TraceGenerator::generate(cfg));
+      dataplane.process_batch(TraceGenerator::generate(cfg));
       std::printf("processed %zu packets (%zu flows)\n", packets, flows);
       continue;
     }

@@ -47,7 +47,7 @@ int main() {
   cfg.num_flows = 20'000;
   cfg.num_packets = 500'000;
   const auto trace = TraceGenerator::generate(cfg);
-  net.process_all(trace);
+  net.process_batch(trace);
   std::printf("processed %zu packets across the fabric\n", trace.size());
 
   const FreqMap truth = ExactStats::frequency(trace, hh.key);

@@ -49,7 +49,7 @@ int main() {
   cfg.num_packets = 300'000;
   cfg.src_ip_base = 0x0A00'0000;  // 10.x covers all slice filters
   const auto trace = TraceGenerator::generate(cfg);
-  dataplane.process_all(trace);
+  dataplane.process_batch(trace);
 
   // Spot-check isolation: each task only sees its own slice.
   unsigned checked = 0, correct = 0;

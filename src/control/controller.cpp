@@ -959,7 +959,10 @@ double Controller::estimate_cardinality(std::uint32_t id) const {
   const UnitPlacement& up = t.rows.at(0).units.at(0);
   const auto& reg = dp_->group(up.group).cmu(up.cmu).reg();
   if (t.algorithm == Algorithm::kLinearCounting) {
-    const std::uint64_t total_bits = std::uint64_t{up.partition.size} * 32;
+    // Bit-packed buckets set one of 32 bits each; unpacked ones (AND-OR
+    // with p1 = p2 = 1) only ever hold 0 or 1, one bit per bucket.
+    const std::uint64_t total_bits =
+        std::uint64_t{up.partition.size} * (t.spec.bloom_bit_packed ? 32 : 1);
     std::uint64_t set = 0;
     for (std::uint32_t i = up.partition.base; i < up.partition.end(); ++i) {
       set += static_cast<std::uint64_t>(std::popcount(reg.read(i)));

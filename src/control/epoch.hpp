@@ -8,13 +8,11 @@
 #include <functional>
 #include <map>
 #include <span>
-#include <thread>
 #include <utility>
 #include <vector>
 
 #include "control/controller.hpp"
 #include "core/flymon_dataplane.hpp"
-#include "ingest/packet_source.hpp"
 #include "packet/packet.hpp"
 #include "telemetry/telemetry.hpp"
 #include "trace/span.hpp"
@@ -79,7 +77,7 @@ class EpochRunner {
       while (end < pkts.size() && pkts[end].ts_ns < window_end) ++end;
       if (end > 0) {
         trace::Span process("epoch.process", end);
-        dp_->process_batch_parallel(pkts.first(end));
+        dp_->process_batch(pkts.first(end));
         epoch_buf_.insert(epoch_buf_.end(), pkts.begin(), pkts.begin() + end);
         pkts = pkts.subspan(end);
       }
@@ -94,24 +92,6 @@ class EpochRunner {
     if (have_origin_) finish_epoch();
     readout_ = nullptr;
     return epoch_;
-  }
-
-  /// Drain a PacketSource through the epoch loop: the streaming core fed
-  /// by `source.pull`.  A dry-but-live source spins until done.
-  unsigned run_stream(ingest::PacketSource& source, Readout readout,
-                      std::size_t batch = 4096) {
-    begin_stream(std::move(readout));
-    std::vector<Packet> buf(batch == 0 ? 1 : batch);
-    while (!source.done()) {
-      const std::size_t n = source.pull(buf);
-      if (n == 0) {
-        if (source.done()) break;
-        std::this_thread::yield();
-        continue;
-      }
-      feed(std::span<const Packet>(buf.data(), n));
-    }
-    return end_stream();
   }
 
   /// Run a time-sorted trace: one stream, one feed.  Kept as the batched

@@ -47,7 +47,9 @@ unsigned NetworkFlyMon::route(const Packet& p) const noexcept {
   return static_cast<unsigned>(hash64_value(p.ft, 0xEC3Full) % nodes_.size());
 }
 
-void NetworkFlyMon::process(const Packet& p) { nodes_[route(p)].dp->process(p); }
+void NetworkFlyMon::process_batch(std::span<const Packet> trace) {
+  for (const Packet& p : trace) nodes_[route(p)].dp->process_batch({&p, 1});
+}
 
 void NetworkFlyMon::clear_all_registers() {
   for (auto& n : nodes_) n.dp->clear_registers();

@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -38,11 +39,8 @@ class NetworkFlyMon {
 
   /// ECMP: a flow (5-tuple) is pinned to one switch by hash.
   unsigned route(const Packet& p) const noexcept;
-  void process(const Packet& p);
-  template <typename Range>
-  void process_all(const Range& trace) {
-    for (const Packet& p : trace) process(p);
-  }
+  /// Run each packet through the data plane of its ECMP switch.
+  void process_batch(std::span<const Packet> trace);
   void clear_all_registers();
 
   // ---- merged network-wide readout ----

@@ -112,9 +112,9 @@ void FlyMonDataPlane::run_plan(const exec::ExecPlan& plan,
                                std::span<const Packet> pkts) {
   if (pkts.empty()) return;
   // Bounded chunks keep the scratch (hash lanes, chain channels) hot in
-  // cache for arbitrarily long traces.  Same knob as the sharded pool's
+  // cache for arbitrarily long traces.  Same size as the sharded pool's
   // work-queue chunk, so the two paths process equal-sized units of work.
-  const std::size_t chunk = std::max<std::size_t>(1, batch_opts_.chunk_size);
+  constexpr std::size_t chunk = exec::kDefaultBatchChunk;
   for (std::size_t off = 0; off < pkts.size(); off += chunk) {
     plan.run_batch(pkts.subspan(off, std::min(chunk, pkts.size() - off)),
                    *scratch_);
@@ -123,11 +123,12 @@ void FlyMonDataPlane::run_plan(const exec::ExecPlan& plan,
   packets_counter_->inc(pkts.size());
 }
 
-void FlyMonDataPlane::process(const Packet& pkt) {
-  process_batch(std::span<const Packet>(&pkt, 1));
+std::uint64_t FlyMonDataPlane::process_batch(std::span<const Packet> pkts) {
+  if (pool_ != nullptr) return pool_->process(pkts);
+  return run_sequential(pkts);
 }
 
-std::uint64_t FlyMonDataPlane::process_batch(std::span<const Packet> pkts) {
+std::uint64_t FlyMonDataPlane::run_sequential(std::span<const Packet> pkts) {
   const auto plan = plan_.load();
   if (plan == nullptr) {
     for (const Packet& p : pkts) {
@@ -177,12 +178,6 @@ unsigned FlyMonDataPlane::parallel_workers() const noexcept {
   return pool_ != nullptr ? pool_->num_workers() : 0;
 }
 
-std::uint64_t FlyMonDataPlane::process_batch_parallel(
-    std::span<const Packet> pkts) {
-  if (pool_ == nullptr) return process_batch(pkts);
-  return pool_->process(pkts);
-}
-
 void FlyMonDataPlane::merge_shards() {
   if (pool_ != nullptr) pool_->quiesce_and_merge();
 }
@@ -190,15 +185,12 @@ void FlyMonDataPlane::merge_shards() {
 FlyMonDataPlane::DrainStats FlyMonDataPlane::drain(ingest::PacketSource& source) {
   trace::Span span("ingest.drain");
   DrainStats stats;
-  // One pool job per drained batch: size it chunk_size x executors x 8 so
-  // the per-job submit/claim overhead amortises to the batched path's
-  // (the streaming-vs-batched throughput gate in CI depends on this).
+  // One pool job per drained batch: size it chunk x executors x 8 so the
+  // per-job submit/claim overhead amortises to the batched path's (the
+  // streaming-vs-batched throughput gate in CI depends on this).
   const std::size_t executors =
       pool_ != nullptr ? pool_->num_workers() : 1;
-  const std::size_t chunk =
-      batch_opts_.chunk_size == 0 ? exec::kDefaultBatchChunk
-                                  : batch_opts_.chunk_size;
-  std::vector<Packet> buf(chunk * executors * 8);
+  std::vector<Packet> buf(exec::kDefaultBatchChunk * executors * 8);
   auto& prof = trace::StageProfiler::global();
   for (;;) {
     const std::uint64_t c0 = trace::now_cycles();
@@ -212,7 +204,7 @@ FlyMonDataPlane::DrainStats FlyMonDataPlane::drain(ingest::PacketSource& source)
       continue;
     }
     stats.last_generation =
-        process_batch_parallel(std::span<const Packet>(buf.data(), n));
+        process_batch(std::span<const Packet>(buf.data(), n));
     stats.packets += n;
     ++stats.batches;
   }

@@ -52,20 +52,23 @@ class FlyMonDataPlane {
   CmuGroup& group(unsigned i) { return groups_.at(i); }
   const CmuGroup& group(unsigned i) const { return groups_.at(i); }
 
-  /// Process one packet (single-packet batch).
-  void process(const Packet& pkt);
-
-  /// Process a batch: compression (hashing) runs for the whole batch before
-  /// the attribute stages when a compiled plan is published; falls back to
-  /// the per-packet interpreted path otherwise (and for traced packets).
-  /// Returns the plan generation the batch executed under (0 = interpreted).
+  /// The one way to execute packets.  With a worker pool enabled the
+  /// batch fans out across its executors (the pool itself falls back to
+  /// the sequential path, exact, when no plan is published, the plan is
+  /// not shard-mergeable, or a tracer is attached).  Without a pool it runs
+  /// sequentially: compression (hashing) for the whole batch before the
+  /// attribute stages when a compiled plan is published, the per-packet
+  /// interpreted path otherwise (and for traced packets).  Per-packet
+  /// callers pass a one-packet span.  Single-submitter: one thread feeds
+  /// packets.  Returns the plan generation the batch executed under
+  /// (0 = interpreted).
   std::uint64_t process_batch(std::span<const Packet> pkts);
 
-  /// Process a whole trace through the batched path.  Returns what
-  /// process_batch returns: the plan generation the trace executed under
-  /// (0 = interpreted).
-  std::uint64_t process_all(std::span<const Packet> trace) {
-    return process_batch(trace);
+  /// Same as process_batch.  Kept only as this forward because the
+  /// benchmark's sharded leg (perfbench/legs.cpp:374, whose sources stay
+  /// fixed between benchmark revisions) calls it by this name.
+  std::uint64_t process_batch_parallel(std::span<const Packet> pkts) {
+    return process_batch(pkts);
   }
 
   std::uint64_t packets_processed() const noexcept {
@@ -76,19 +79,18 @@ class FlyMonDataPlane {
 
   struct DrainStats {
     std::uint64_t packets = 0;          ///< packets pulled and processed
-    std::uint64_t batches = 0;          ///< process_batch_parallel calls
+    std::uint64_t batches = 0;          ///< process_batch calls
     std::uint64_t last_generation = 0;  ///< plan generation of the last batch
   };
 
-  /// Streaming entry point: pull batches from `source` and run each
-  /// through the batched (sharded when a pool is enabled) hot path until
-  /// the source is done.  A dry-but-live source spins; fences and RCU
-  /// republishes from other threads keep working mid-stream exactly as
-  /// they do between process_batch_parallel calls (this is a
-  /// single-submitter API, like process_batch_parallel).  Batches are
-  /// sized chunk_size x executors x 8 so the pool's per-job overhead
-  /// amortises to the batched path's.  Capture-loop time (source pull) is
-  /// attributed to the `ingest` stage of the hot-path profiler.
+  /// Streaming loop: pull batches from `source` and run each through
+  /// process_batch until the source is done.  A dry-but-live source spins;
+  /// fences and RCU republishes from other threads keep working mid-stream
+  /// exactly as they do between process_batch calls (single-submitter,
+  /// like process_batch).  Batches are sized kDefaultBatchChunk x
+  /// executors x 8 so the pool's per-job overhead amortises to the batched
+  /// path's.  Capture-loop time (source pull) is attributed to the `ingest`
+  /// stage of the hot-path profiler.
   DrainStats drain(ingest::PacketSource& source);
 
   /// Clear all registers (start of a measurement epoch); un-merged shard
@@ -99,8 +101,8 @@ class FlyMonDataPlane {
 
   /// Spin up a persistent pool of `num_workers` executors (the submitting
   /// thread participates as the last one, so 1 spawns no threads).  Each
-  /// executor owns a private replica of every CMU register bank; batches
-  /// submitted via process_batch_parallel fan out across them and fold
+  /// executor owns a private replica of every CMU register bank; from
+  /// then on process_batch fans batches out across them, and they fold
   /// back into the live registers at merge points.  Replaces any existing
   /// pool (merging its shards first).
   void enable_parallel(unsigned num_workers);
@@ -111,13 +113,6 @@ class FlyMonDataPlane {
   /// Executors in the active pool (0 = no pool).
   unsigned parallel_workers() const noexcept;
 
-  /// Parallel entry point: fan the batch across the worker pool.  Falls
-  /// back to process_batch when no pool is enabled; the pool itself falls
-  /// back (sequentially, exact) when no plan is published, the plan is not
-  /// shard-mergeable, or a tracer is attached.  Like process_batch this is
-  /// a single-submitter API: one thread feeds packets.
-  std::uint64_t process_batch_parallel(std::span<const Packet> pkts);
-
   /// Fold every dirty shard into the live registers under the current
   /// plan (no-op without a pool).  Read-side paths — controller readouts,
   /// telemetry collection, epoch boundaries — call this before trusting
@@ -126,20 +121,6 @@ class FlyMonDataPlane {
 
   /// Pool observability snapshot (zeroes without a pool).
   exec::ParallelStats parallel_stats() const;
-
-  /// Execution tunables shared by the sequential batched path and the
-  /// sharded pool (one chunk-size knob for both).
-  void set_batch_options(const exec::BatchOptions& opts) noexcept {
-    batch_opts_ = opts;
-  }
-  const exec::BatchOptions& batch_options() const noexcept {
-    return batch_opts_;
-  }
-
-  /// Pool bookkeeping hook: account a parallel batch on the pipeline
-  /// totals (per-group/per-CMU counters travel through the shard counter
-  /// blocks instead).
-  void note_parallel_batch(std::size_t packets) noexcept;
 
   // ---- compiled-plan publication (RCU-style snapshot swap) ----
 
@@ -198,6 +179,17 @@ class FlyMonDataPlane {
   telemetry::PacketTracer* tracer() const noexcept { return tracer_; }
 
  private:
+  // The pool runs its sequential fallback through run_sequential (never the
+  // public process_batch, which would re-enter the pool) and accounts its
+  // parallel batches through note_parallel_batch.
+  friend class exec::WorkerPool;
+
+  /// The no-pool path of process_batch: compiled when a plan is published
+  /// (split around traced packets), interpreted otherwise.
+  std::uint64_t run_sequential(std::span<const Packet> pkts);
+  /// Account a parallel batch on the pipeline totals (per-group/per-CMU
+  /// counters travel through the shard counter blocks instead).
+  void note_parallel_batch(std::size_t packets) noexcept;
   /// Legacy per-packet path against the mutable objects.
   void interpret(const Packet& pkt, bool traced);
   /// Run `pkts` through `plan` in bounded chunks (reusing scratch_).
@@ -223,7 +215,6 @@ class FlyMonDataPlane {
   PlanValidator validator_ FLYMON_GUARDED_BY(publish_mu_);
   std::string last_publish_veto_ FLYMON_GUARDED_BY(publish_mu_);
   std::unique_ptr<exec::BatchScratch> scratch_;  ///< processing-thread only
-  exec::BatchOptions batch_opts_;
   telemetry::Registry* registry_ = nullptr;
   telemetry::Counter* packets_counter_ = nullptr;
   telemetry::PacketTracer* tracer_ = nullptr;

@@ -187,12 +187,6 @@ struct BatchScratch {
 /// always compares equal-sized units of work.
 inline constexpr std::size_t kDefaultBatchChunk = 256;
 
-/// Execution tunables shared by the sequential batched path and the
-/// sharded worker pool.
-struct BatchOptions {
-  std::size_t chunk_size = kDefaultBatchChunk;
-};
-
 /// How one compiled entry's register partition folds across per-worker
 /// shards.  Only operations from FlyMon's reduced SALU set appear here;
 /// each is commutative and associative over the partition's cells, which

@@ -37,17 +37,17 @@ std::uint64_t WorkerPool::process(std::span<const Packet> pkts) {
   // plan, and a concurrent publisher fences on submit_mu_, so shard deltas
   // never straddle a reconfiguration.
   std::shared_ptr<const ExecPlan> plan = dp_->current_plan();
+  // The fallback stays under submit_mu_: a concurrent Fence merge writes
+  // the same live registers the sequential runner does.
   if (plan == nullptr || !plan->shard_mergeable() || dp_->tracer() != nullptr) {
-    fallback_batches_.fetch_add(1, std::memory_order_relaxed);
-    count_fallback(plan.get(), dp_->tracer() != nullptr);
-    return dp_->process_batch(pkts);
+    count_fallback(plan.get());
+    return dp_->run_sequential(pkts);
   }
 
   auto job = std::make_shared<Job>();
   job->plan = plan;
   job->pkts = pkts;
-  job->chunk = std::max<std::size_t>(1, dp_->batch_options().chunk_size);
-  job->num_chunks = (pkts.size() + job->chunk - 1) / job->chunk;
+  job->num_chunks = (pkts.size() + kDefaultBatchChunk - 1) / kDefaultBatchChunk;
   job->ctl.arm(job->num_chunks);
 
   {
@@ -99,8 +99,9 @@ void WorkerPool::run_chunks(Job& job, std::size_t shard_idx) {
     const std::uint64_t t0 = profiled ? trace::now_cycles() : 0;
     const std::size_t i = job.ctl.claim();
     if (i >= job.num_chunks) return;  // nothing claimed: no completion debt
-    const std::size_t begin = i * job.chunk;
-    const std::size_t len = std::min(job.chunk, job.pkts.size() - begin);
+    const std::size_t begin = i * kDefaultBatchChunk;
+    const std::size_t len =
+        std::min(kDefaultBatchChunk, job.pkts.size() - begin);
     const std::uint64_t t1 = profiled ? trace::now_cycles() : 0;
     {
       trace::Span span("exec.chunk", job.plan->generation());
@@ -175,26 +176,19 @@ void WorkerPool::note_fence_wait(std::uint64_t wait_ns) {
   }
 }
 
-void WorkerPool::count_fallback(const ExecPlan* plan, bool tracer) {
-  // Precedence mirrors the process() guard: a null plan is reported as
-  // no_plan even if a tracer is also attached.
-  if (plan == nullptr) {
-    fallback_no_plan_.fetch_add(1, std::memory_order_relaxed);
-    if (fallback_counters_[0] != nullptr) fallback_counters_[0]->inc();
-    return;
-  }
-  if (!plan->shard_mergeable()) {
-    fallback_unmergeable_.fetch_add(1, std::memory_order_relaxed);
-    if (fallback_counters_[1] != nullptr) fallback_counters_[1]->inc();
+void WorkerPool::count_fallback(const ExecPlan* plan) {
+  // Cause precedence mirrors the process() guard: a null plan is reported
+  // as no_plan even if a tracer is also attached; a mergeable plan can
+  // only have fallen back because of the tracer.
+  const std::size_t cause =
+      plan == nullptr ? 0 : !plan->shard_mergeable() ? 1 : 2;
+  fallbacks_[cause].fetch_add(1, std::memory_order_relaxed);
+  if (fallback_counters_[cause] != nullptr) fallback_counters_[cause]->inc();
+  if (cause == 1) {
     for (MergeBlockerKind k : plan->merge_blocker_kinds()) {
       telemetry::Counter* c = blocker_counters_[static_cast<std::size_t>(k)];
       if (c != nullptr) c->inc();
     }
-    return;
-  }
-  if (tracer) {
-    fallback_tracer_.fetch_add(1, std::memory_order_relaxed);
-    if (fallback_counters_[2] != nullptr) fallback_counters_[2]->inc();
   }
 }
 
@@ -226,13 +220,13 @@ void WorkerPool::bind_telemetry(telemetry::Registry* registry) {
 ParallelStats WorkerPool::stats() const noexcept {
   ParallelStats s;
   s.parallel_batches = parallel_batches_.load(std::memory_order_relaxed);
-  s.fallback_batches = fallback_batches_.load(std::memory_order_relaxed);
   s.chunks = chunks_.load(std::memory_order_relaxed);
   s.merges = merges_.load(std::memory_order_relaxed);
-  s.fallback_no_plan = fallback_no_plan_.load(std::memory_order_relaxed);
-  s.fallback_unmergeable =
-      fallback_unmergeable_.load(std::memory_order_relaxed);
-  s.fallback_tracer = fallback_tracer_.load(std::memory_order_relaxed);
+  s.fallback_no_plan = fallbacks_[0].load(std::memory_order_relaxed);
+  s.fallback_unmergeable = fallbacks_[1].load(std::memory_order_relaxed);
+  s.fallback_tracer = fallbacks_[2].load(std::memory_order_relaxed);
+  s.fallback_batches =
+      s.fallback_no_plan + s.fallback_unmergeable + s.fallback_tracer;
   return s;
 }
 

@@ -37,11 +37,11 @@ namespace flymon::exec {
 /// Pool observability (all monotonic since enable_parallel).
 struct ParallelStats {
   std::uint64_t parallel_batches = 0;  ///< batches executed across shards
-  std::uint64_t fallback_batches = 0;  ///< sequential fallbacks (no plan, unmergeable plan, or tracer attached)
+  std::uint64_t fallback_batches = 0;  ///< sequential fallbacks: the sum of the three causes below
   std::uint64_t chunks = 0;            ///< work-queue chunks claimed
   std::uint64_t merges = 0;            ///< quiesce/fence merges that folded a dirty shard
-  // Fallback causes (sum == fallback_batches): a silent sequential run is
-  // indistinguishable from a fast parallel one without these.
+  // Fallback causes: a silent sequential run is indistinguishable from a
+  // fast parallel one without these.
   std::uint64_t fallback_no_plan = 0;      ///< no compiled plan published
   std::uint64_t fallback_unmergeable = 0;  ///< plan has merge blockers
   std::uint64_t fallback_tracer = 0;       ///< packet tracer attached
@@ -60,10 +60,12 @@ class WorkerPool {
   unsigned num_workers() const noexcept { return num_executors_; }
 
   /// Process a batch across all executors against the current plan
-  /// snapshot.  Falls back to the data plane's sequential path (recording
-  /// a fallback stat) when no plan is published, the plan is not
-  /// shard-mergeable, or a tracer is attached.  Returns the generation
-  /// the batch executed under (0 = interpreted fallback).
+  /// snapshot (FlyMonDataPlane::process_batch dispatches here when a pool
+  /// is enabled).  Falls back to the data plane's private sequential
+  /// runner, still under the submission lock, when no plan is published,
+  /// the plan is not shard-mergeable, or a tracer is attached, counting
+  /// the fallback under its cause.  Returns the generation the batch
+  /// executed under (0 = interpreted fallback).
   std::uint64_t process(std::span<const Packet> pkts);
 
   /// Block new submissions, wait out the in-flight job, and fold every
@@ -101,7 +103,6 @@ class WorkerPool {
   struct Job {
     std::shared_ptr<const ExecPlan> plan;
     std::span<const Packet> pkts;
-    std::size_t chunk = kDefaultBatchChunk;
     std::size_t num_chunks = 0;
     /// Claim cursor + completion count; the memory-order contract lives
     /// with the template (protocol.hpp), shared with the model checker.
@@ -118,8 +119,7 @@ class WorkerPool {
   void run_chunks(Job& job, std::size_t shard_idx);
   void merge_locked() FLYMON_REQUIRES(submit_mu_);
   void note_fence_wait(std::uint64_t wait_ns) FLYMON_REQUIRES(submit_mu_);
-  void count_fallback(const ExecPlan* plan, bool tracer)
-      FLYMON_REQUIRES(submit_mu_);
+  void count_fallback(const ExecPlan* plan) FLYMON_REQUIRES(submit_mu_);
 
   FlyMonDataPlane* dp_;
   unsigned num_executors_;
@@ -147,12 +147,9 @@ class WorkerPool {
   common::CondVar done_cv_;
 
   std::atomic<std::uint64_t> parallel_batches_{0};
-  std::atomic<std::uint64_t> fallback_batches_{0};
   std::atomic<std::uint64_t> chunks_{0};
   std::atomic<std::uint64_t> merges_{0};
-  std::atomic<std::uint64_t> fallback_no_plan_{0};
-  std::atomic<std::uint64_t> fallback_unmergeable_{0};
-  std::atomic<std::uint64_t> fallback_tracer_{0};
+  std::atomic<std::uint64_t> fallbacks_[3] = {};  ///< indexed like fallback_counters_
 
   // Telemetry handles, cached under submit_mu_ (written only by
   // bind_telemetry; read only by code already holding the lock).

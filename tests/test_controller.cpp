@@ -219,7 +219,7 @@ TEST(Controller, ClearTaskStateZeroesPartitions) {
   cfg.num_flows = 100;
   cfg.num_packets = 1000;
   const auto trace = TraceGenerator::generate(cfg);
-  dp.process_all(trace);
+  dp.process_batch(trace);
   EXPECT_GT(ctl.query_value(r.task_id, trace[0]), 0u);
   ctl.clear_task_state(r.task_id);
   EXPECT_EQ(ctl.query_value(r.task_id, trace[0]), 0u);

@@ -254,7 +254,7 @@ TEST(CrcKernelGolden, ForcedScalarBatchMatchesDispatchedByteForByte) {
 
   // Interpreted, CPU-default dispatch.
   wi.dp.unpublish_plan();
-  for (const Packet& p : trace) wi.dp.process(p);
+  for (const Packet& p : trace) wi.dp.process_batch({&p, 1});
 
   // Compiled + batched, CPU-default dispatch.
   ASSERT_GT(wd.dp.process_batch(trace), 0u);

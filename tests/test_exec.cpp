@@ -228,11 +228,11 @@ TEST(ExecGolden, CompiledAndBatchedMatchInterpretedByteForByte) {
   // World A: interpreted per-packet path (plan dropped).
   wi.dp.unpublish_plan();
   ASSERT_EQ(wi.dp.plan_generation(), 0u);
-  for (const Packet& p : trace) wi.dp.process(p);
+  for (const Packet& p : trace) wi.dp.process_batch({&p, 1});
 
   // World B: compiled path, one packet at a time.
   ASSERT_GT(wc.dp.plan_generation(), 0u);
-  for (const Packet& p : trace) wc.dp.process(p);
+  for (const Packet& p : trace) wc.dp.process_batch({&p, 1});
 
   // World C: compiled path, whole trace as one batch.
   const std::uint64_t gen = wb.dp.process_batch(trace);
@@ -265,7 +265,7 @@ TEST(ExecTracer, TracedPacketsFallBackToInterpretedPath) {
   telemetry::PacketTracer ti(256, 4), tb(256, 4);
   wi.dp.set_tracer(&ti);
   wi.dp.unpublish_plan();
-  for (const Packet& p : trace) wi.dp.process(p);
+  for (const Packet& p : trace) wi.dp.process_batch({&p, 1});
 
   wb.dp.set_tracer(&tb);
   ASSERT_GT(wb.dp.process_batch(trace), 0u);
@@ -355,21 +355,6 @@ TEST(ExecPlanApi, GenerationAdvancesAcrossReconfiguration) {
   EXPECT_EQ(w.dp.packets_processed(), trace.size());
 
   EXPECT_GT(w.dp.republish_plan(), g4);
-}
-
-TEST(ExecPlanApi, ProcessAllRoutesThroughBatchedPath) {
-  World w;
-  ASSERT_NO_FATAL_FAILURE(deploy_cms(w.ctl));
-  const std::vector<Packet> trace = make_trace(100, 1000, 11);
-  // process_all forwards process_batch's return: the executing generation.
-  EXPECT_EQ(w.dp.process_all(trace), w.dp.plan_generation());
-  EXPECT_GT(w.dp.plan_generation(), 0u);
-  EXPECT_EQ(w.dp.packets_processed(), trace.size());
-  // Batched and per-packet runs agree (same world, doubled state).
-  World w2;
-  ASSERT_NO_FATAL_FAILURE(deploy_cms(w2.ctl));
-  for (const Packet& p : trace) w2.dp.process(p);
-  expect_identical_registers(w.dp, w2.dp, "process_all vs per-packet");
 }
 
 // ---------------------------------------------------------------------------

@@ -126,7 +126,7 @@ TEST(FlyMonOddSketch, JaccardOfTwoTrafficSets) {
       trace.push_back(p);
     }
   }
-  dp.process_all(trace);
+  dp.process_batch(trace);
 
   // |A| = |B| = 4000, |A and B| = 2000 => |A delta B| = 4000, J = 1/3.
   const double size_a = ctl.estimate_set_size(ra.task_id);
@@ -234,7 +234,7 @@ TEST(SplitTask, ReducesCollisionError) {
   s.rows = 3;
   const auto whole = ctl.add_task(s);
   ASSERT_TRUE(whole.ok);
-  dp.process_all(trace);
+  dp.process_batch(trace);
   const FreqMap truth = ExactStats::frequency(trace, s.key);
   const double are_whole = analysis::frequency_are(truth, [&](const FlowKeyValue& k) {
     return ctl.query_value(whole.task_id, packet_from_candidate_key(k.bytes));
@@ -246,7 +246,7 @@ TEST(SplitTask, ReducesCollisionError) {
   ASSERT_TRUE(base.ok);
   const auto [lo, hi] = ctl2.split_task(base.task_id);
   ASSERT_TRUE(lo.ok && hi.ok);
-  dp2.process_all(trace);
+  dp2.process_batch(trace);
   const double are_split = analysis::frequency_are(truth, [&](const FlowKeyValue& k) {
     const Packet probe = packet_from_candidate_key(k.bytes);
     const auto id = ctl2.task(lo.task_id)->spec.filter.matches(probe.ft) ? lo.task_id
@@ -308,7 +308,7 @@ TEST(Network, NetworkWideHeavyHitters) {
   cfg.num_flows = 5000;
   cfg.num_packets = 300'000;
   const auto trace = TraceGenerator::generate(cfg);
-  net.process_all(trace);
+  net.process_batch(trace);
 
   const FreqMap truth = ExactStats::frequency(trace, s.key);
   const auto hh_true = ExactStats::over_threshold(truth, 1024);
@@ -334,7 +334,7 @@ TEST(Network, CardinalitySumAcrossSwitches) {
   cfg.num_packets = 90'000;
   cfg.zipf_alpha = 0.3;
   const auto trace = TraceGenerator::generate(cfg);
-  net.process_all(trace);
+  net.process_batch(trace);
   const double truth =
       static_cast<double>(ExactStats::cardinality(trace, FlowKeySpec::five_tuple()));
   EXPECT_NEAR(net.estimate_cardinality_sum(t), truth, 0.1 * truth);

@@ -27,7 +27,7 @@ struct World {
     trace = TraceGenerator::generate(cfg);
   }
 
-  void run() { dp.process_all(trace); }
+  void run() { dp.process_batch(trace); }
 };
 
 TEST(Integration, CmsPerFlowByteCounts) {
@@ -67,7 +67,7 @@ TEST(Integration, SuMaxSumMoreAccurateThanCmsAtTightMemory) {
   ASSERT_TRUE(rs.ok) << rs.error;
 
   w.run();
-  dp2.process_all(w.trace);
+  dp2.process_batch(w.trace);
 
   // The paper's claim (Fig 14a) is about heavy-hitter F1, where the
   // conservative update's damped over-counts matter most.
@@ -147,7 +147,7 @@ TEST(Integration, TowerSkipsSaturatedRow) {
   const auto r = ctl.add_task(s);
   ASSERT_TRUE(r.ok) << r.error;
   const auto trace = one_flow(300);
-  dp.process_all(trace);
+  dp.process_batch(trace);
   // Rows are {32, 16, 8} bits wide: the 8-bit row pins at 255 and must
   // be skipped, not taken as the minimum.
   EXPECT_EQ(ctl.query_value(r.task_id, trace[0]), 300u);
@@ -163,24 +163,31 @@ TEST(Integration, CounterBraidsCarriesPastLayer1Cap) {
   const auto r = ctl.add_task(s);
   ASSERT_TRUE(r.ok) << r.error;
   const auto trace = one_flow(3000);
-  dp.process_all(trace);
+  dp.process_batch(trace);
   // Layer 1 stops at its 1024 cap; layer 2 carries the other 1976.
   EXPECT_EQ(ctl.query_value(r.task_id, trace[0]), 3000u);
 }
 
 TEST(Integration, LinearCountingCardinality) {
-  World w(20'000, 60'000, 0.3);
-  TaskSpec s;
-  s.attribute = AttributeKind::kDistinct;
-  s.param = ParamSpec::compressed(FlowKeySpec::five_tuple());
-  s.algorithm = Algorithm::kLinearCounting;
-  s.memory_buckets = 4096;  // 131072 bits
-  const auto r = w.ctl.add_task(s);
-  ASSERT_TRUE(r.ok) << r.error;
-  w.run();
-  const double truth =
-      static_cast<double>(ExactStats::cardinality(w.trace, FlowKeySpec::five_tuple()));
-  EXPECT_LT(analysis::relative_error(truth, w.ctl.estimate_cardinality(r.task_id)), 0.05);
+  // A bit-packed bucket sets one of its 32 bits; an unpacked one only ever
+  // holds 0 or 1, so it is one bit of the bitmap.
+  for (const bool packed : {true, false}) {
+    SCOPED_TRACE(packed ? "bit-packed" : "unpacked");
+    World w(20'000, 60'000, 0.3);
+    TaskSpec s;
+    s.attribute = AttributeKind::kDistinct;
+    s.param = ParamSpec::compressed(FlowKeySpec::five_tuple());
+    s.algorithm = Algorithm::kLinearCounting;
+    s.bloom_bit_packed = packed;
+    s.memory_buckets = packed ? 4096 : 16384;  // 131072 or 16384 bits
+    const auto r = w.ctl.add_task(s);
+    ASSERT_TRUE(r.ok) << r.error;
+    w.run();
+    const double truth = static_cast<double>(
+        ExactStats::cardinality(w.trace, FlowKeySpec::five_tuple()));
+    EXPECT_LT(analysis::relative_error(truth, w.ctl.estimate_cardinality(r.task_id)),
+              0.05);
+  }
 }
 
 TEST(Integration, LinearCountingSaturatedBitmapReportsMLnM) {
@@ -199,7 +206,7 @@ TEST(Integration, LinearCountingSaturatedBitmapReportsMLnM) {
   cfg.num_flows = 20'000;
   cfg.num_packets = 60'000;
   cfg.zipf_alpha = 0.3;
-  dp.process_all(TraceGenerator::generate(cfg));
+  dp.process_batch(TraceGenerator::generate(cfg));
   const std::uint32_t buckets = ctl.task(r.task_id)->rows.at(0).units.at(0).partition.size;
   ASSERT_EQ(buckets, 32u);
   const double m = 32.0 * buckets;
@@ -331,7 +338,7 @@ TEST(Integration, ProbabilisticTasksShareOneCmu) {
   cfg.num_flows = 500;
   cfg.num_packets = 100'000;
   const auto trace = TraceGenerator::generate(cfg);
-  dp.process_all(trace);
+  dp.process_batch(trace);
 
   // Each task sees roughly half the packets: estimates scale by ~p.
   const FreqMap truth = ExactStats::frequency(trace, a.key);

@@ -280,8 +280,8 @@ TEST(SystemProperty, IdenticalDataplanesStayIdentical) {
   cfg.num_flows = 500;
   cfg.num_packets = 20'000;
   const auto trace = TraceGenerator::generate(cfg);
-  dp1->process_all(trace);
-  dp2->process_all(trace);
+  dp1->process_batch(trace);
+  dp2->process_batch(trace);
 
   for (unsigned g = 0; g < 3; ++g) {
     for (unsigned c = 0; c < 3; ++c) {
@@ -318,7 +318,7 @@ TEST(SystemProperty, CouponBitmapsOnlyGrow) {
     Packet p;
     p.ft.dst_ip = 0xC0A80001;
     p.ft.src_ip = rng.next_u32();
-    dp.process(p);
+    dp.process_batch({&p, 1});
     const double est = ctl.estimate_distinct(r.task_id, probe);
     EXPECT_GE(est, prev);
     prev = est;

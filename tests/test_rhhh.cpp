@@ -53,7 +53,7 @@ TEST(Rhhh, SamplingCorrectedLevelEstimates) {
   p.ft.protocol = 6;
   for (int i = 0; i < 40'000; ++i) {
     p.ts_ns = static_cast<std::uint64_t>(i) * 1000;
-    dp.process(p);
+    dp.process_batch({&p, 1});
   }
   // Each level sampled ~1/4 of 40K; scaled estimates recover ~40K.
   for (std::uint8_t len : {8, 16, 24, 32}) {
@@ -88,7 +88,7 @@ TEST(Rhhh, HierarchicalSemantics) {
     emit(0x0B000000 | (i << 8) | 1, 300);  // 11/8: spread across 120 /24s
   }
   TraceGenerator::sort_by_time(trace);
-  dp.process_all(trace);
+  dp.process_batch(trace);
 
   std::vector<FlowKeyValue> candidates;
   {

@@ -214,15 +214,14 @@ TEST(ShardedGolden, FourWorkersMatchSequentialByteForByte) {
 
   wp.dp.enable_parallel(4);
   EXPECT_EQ(wp.dp.parallel_workers(), 4u);
-  const std::uint64_t par_gen = wp.dp.process_batch_parallel(trace);
+  const std::uint64_t par_gen = wp.dp.process_batch(trace);
   EXPECT_EQ(par_gen, wp.dp.plan_generation());
   wp.dp.merge_shards();
 
   const exec::ParallelStats stats = wp.dp.parallel_stats();
   EXPECT_EQ(stats.parallel_batches, 1u);
   EXPECT_EQ(stats.fallback_batches, 0u);
-  EXPECT_GE(stats.chunks,
-            trace.size() / wp.dp.batch_options().chunk_size);
+  EXPECT_GE(stats.chunks, trace.size() / exec::kDefaultBatchChunk);
   EXPECT_GE(stats.merges, 1u);
 
   EXPECT_EQ(ws.dp.packets_processed(), trace.size());
@@ -262,7 +261,7 @@ TEST(ShardedGolden, EquivalenceSurvivesReconfigurationFences) {
 
   const auto third = trace.size() / 3;
   ws.dp.process_batch(std::span<const Packet>(trace).subspan(0, third));
-  wp.dp.process_batch_parallel(
+  wp.dp.process_batch(
       std::span<const Packet>(trace).subspan(0, third));
 
   // Fence mid-stream: both worlds resize the same task identically.
@@ -270,7 +269,7 @@ TEST(ShardedGolden, EquivalenceSurvivesReconfigurationFences) {
   ASSERT_TRUE(wp.ctl.resize_task(par_ids.maxq, 8192).ok);
 
   ws.dp.process_batch(std::span<const Packet>(trace).subspan(third));
-  wp.dp.process_batch_parallel(
+  wp.dp.process_batch(
       std::span<const Packet>(trace).subspan(third));
   wp.dp.merge_shards();
 
@@ -295,7 +294,7 @@ TEST(ShardedVeto, VetoedRepublishStillFencesOutstandingDeltas) {
 
   const auto half = trace.size() / 2;
   ws.dp.process_batch(std::span<const Packet>(trace).subspan(0, half));
-  wp.dp.process_batch_parallel(
+  wp.dp.process_batch(
       std::span<const Packet>(trace).subspan(0, half));
   // wp's shards now hold unmerged deltas produced under the current plan.
 
@@ -313,7 +312,7 @@ TEST(ShardedVeto, VetoedRepublishStillFencesOutstandingDeltas) {
   // Traffic keeps flowing while vetoed (pool falls back to interpreted
   // execution) and the worlds stay byte-identical.
   ws.dp.process_batch(std::span<const Packet>(trace).subspan(half));
-  wp.dp.process_batch_parallel(std::span<const Packet>(trace).subspan(half));
+  wp.dp.process_batch(std::span<const Packet>(trace).subspan(half));
   wp.dp.merge_shards();
   EXPECT_EQ(wp.dp.packets_processed(), trace.size());
   expect_identical_registers(ws.dp, wp.dp, "interpreted service under veto");
@@ -324,7 +323,7 @@ TEST(ShardedVeto, VetoedRepublishStillFencesOutstandingDeltas) {
   EXPECT_TRUE(wp.dp.last_publish_veto().empty());
   ASSERT_NE(wp.dp.current_plan(), nullptr);
   ws.dp.process_batch(std::span<const Packet>(trace).subspan(0, half));
-  wp.dp.process_batch_parallel(
+  wp.dp.process_batch(
       std::span<const Packet>(trace).subspan(0, half));
   wp.dp.merge_shards();
   expect_identical_registers(ws.dp, wp.dp, "parallel resumes after veto");
@@ -334,20 +333,22 @@ TEST(ShardedVeto, VetoedRepublishStillFencesOutstandingDeltas) {
 // Mergeability analysis + sequential fallback.
 // ---------------------------------------------------------------------------
 
+/// A max-interarrival task: its chained timestamp blocks the shard merge.
+void deploy_chained(control::Controller& ctl) {
+  TaskSpec s;
+  s.name = "maxgap";
+  s.key = FlowKeySpec::five_tuple();
+  s.attribute = AttributeKind::kMax;
+  s.algorithm = Algorithm::kMaxInterarrival;
+  s.memory_buckets = 16384;
+  s.rows = 1;
+  const auto r = ctl.add_task(s);
+  ASSERT_TRUE(r.ok) << r.error;
+}
+
 TEST(ShardedFallback, ChainedPlansAreFlaggedAndFallBackSequentially) {
   EnabledGuard on(false);
   World ws, wp;
-  const auto deploy_chained = [](control::Controller& ctl) {
-    TaskSpec s;
-    s.name = "maxgap";
-    s.key = FlowKeySpec::five_tuple();
-    s.attribute = AttributeKind::kMax;
-    s.algorithm = Algorithm::kMaxInterarrival;
-    s.memory_buckets = 16384;
-    s.rows = 1;
-    const auto r = ctl.add_task(s);
-    ASSERT_TRUE(r.ok) << r.error;
-  };
   ASSERT_NO_FATAL_FAILURE(deploy_chained(ws.ctl));
   ASSERT_NO_FATAL_FAILURE(deploy_chained(wp.ctl));
 
@@ -361,7 +362,7 @@ TEST(ShardedFallback, ChainedPlansAreFlaggedAndFallBackSequentially) {
   const std::vector<Packet> trace = make_trace(200, 5000, 13);
   ws.dp.process_batch(trace);
   wp.dp.enable_parallel(4);
-  wp.dp.process_batch_parallel(trace);
+  wp.dp.process_batch(trace);
   wp.dp.merge_shards();
 
   const exec::ParallelStats stats = wp.dp.parallel_stats();
@@ -370,22 +371,49 @@ TEST(ShardedFallback, ChainedPlansAreFlaggedAndFallBackSequentially) {
   expect_identical_registers(ws.dp, wp.dp, "unmergeable fallback");
 }
 
-TEST(ShardedFallback, TracerAttachedFallsBackSequentially) {
-  EnabledGuard on(true);
-  World w;
-  deploy_mergeable_mix(w.ctl);
-  w.dp.enable_parallel(2);
+// process_batch is the only entry point: on a pool-enabled plane it runs
+// sharded, and each sequential fallback runs to completion (the pool must
+// not re-enter process_batch) and is counted once under its cause.
+TEST(ShardedFallback, ProcessBatchOnPoolShardsAndCountsEachFallbackCause) {
+  EnabledGuard on(false);
+  const std::vector<Packet> trace = make_trace(500, 12'000, 43);
+  const std::size_t q = trace.size() / 4;
+  World ws, wp;
+  deploy_mergeable_mix(ws.ctl);
+  deploy_mergeable_mix(wp.ctl);
+  wp.dp.enable_parallel(3);
+  const auto feed = [&](std::size_t i) {
+    for (World* w : {&ws, &wp}) {
+      w->dp.process_batch(std::span<const Packet>(trace).subspan(i * q, q));
+    }
+  };
 
-  telemetry::PacketTracer tracer(64, 16);
-  w.dp.set_tracer(&tracer);
-  const std::vector<Packet> trace = make_trace(50, 400, 3);
-  w.dp.process_batch_parallel(trace);
-  w.dp.set_tracer(nullptr);
+  feed(0);  // mergeable plan, no tracer: sharded
+  telemetry::PacketTracer ts(64, 16), tp(64, 16);
+  ws.dp.set_tracer(&ts);
+  wp.dp.set_tracer(&tp);
+  feed(1);
+  ws.dp.set_tracer(nullptr);
+  wp.dp.set_tracer(nullptr);
+  EXPECT_GT(tp.records_taken(), 0u);
+  EXPECT_EQ(ts.records_taken(), tp.records_taken());
+  ASSERT_NO_FATAL_FAILURE(deploy_chained(ws.ctl));
+  ASSERT_NO_FATAL_FAILURE(deploy_chained(wp.ctl));
+  feed(2);
+  ws.dp.unpublish_plan();
+  wp.dp.unpublish_plan();
+  feed(3);
 
-  EXPECT_GT(tracer.records_taken(), 0u);
-  const exec::ParallelStats stats = w.dp.parallel_stats();
-  EXPECT_EQ(stats.parallel_batches, 0u);
-  EXPECT_EQ(stats.fallback_batches, 1u);
+  const exec::ParallelStats stats = wp.dp.parallel_stats();
+  EXPECT_EQ(stats.parallel_batches, 1u);
+  EXPECT_EQ(stats.fallback_tracer, 1u);
+  EXPECT_EQ(stats.fallback_unmergeable, 1u);
+  EXPECT_EQ(stats.fallback_no_plan, 1u);
+  EXPECT_EQ(stats.fallback_batches, 3u);
+  wp.dp.merge_shards();
+  EXPECT_EQ(wp.dp.packets_processed(), 4 * q);
+  expect_identical_registers(ws.dp, wp.dp, "process_batch on a pool");
+  expect_identical_counters(ws, wp, "process_batch on a pool");
 }
 
 // ---------------------------------------------------------------------------
@@ -402,7 +430,7 @@ TEST(ShardedMerge, ControllerQueriesMergeOnDemand) {
 
   ws.dp.process_batch(trace);
   wp.dp.enable_parallel(4);
-  wp.dp.process_batch_parallel(trace);
+  wp.dp.process_batch(trace);
 
   // No explicit merge_shards(): the readout path must fold the shards.
   for (std::size_t i = 0; i < trace.size(); i += 499) {
@@ -420,7 +448,7 @@ TEST(ShardedMerge, TelemetryCollectionMergesCounters) {
   World w;
   deploy_mergeable_mix(w.ctl);
   w.dp.enable_parallel(2);
-  w.dp.process_batch_parallel(trace);
+  w.dp.process_batch(trace);
 
   // Pipeline total is maintained by the pool; per-group counters travel
   // through the shard blocks and appear only after a merge point.
@@ -439,7 +467,7 @@ TEST(ShardedMerge, ClearRegistersDiscardsShardDeltas) {
   World w;
   const MixIds ids = deploy_mergeable_mix(w.ctl);
   w.dp.enable_parallel(3);
-  w.dp.process_batch_parallel(trace);
+  w.dp.process_batch(trace);
   w.dp.clear_registers();  // epoch boundary: shard deltas die with the epoch
 
   // A later merge point must not resurrect pre-clear state.
@@ -502,7 +530,7 @@ TEST(ShardedLifecycle, DisableParallelMergesOutstandingDeltas) {
 
   ws.dp.process_batch(trace);
   wp.dp.enable_parallel(4);
-  wp.dp.process_batch_parallel(trace);
+  wp.dp.process_batch(trace);
   wp.dp.disable_parallel();
   EXPECT_EQ(wp.dp.parallel_workers(), 0u);
 
@@ -510,8 +538,8 @@ TEST(ShardedLifecycle, DisableParallelMergesOutstandingDeltas) {
   EXPECT_EQ(ws.ctl.query_value(seq_ids.cms, trace.front()),
             wp.ctl.query_value(par_ids.cms, trace.front()));
 
-  // With no pool, the parallel entry point degrades to process_batch.
-  EXPECT_GT(wp.dp.process_batch_parallel(trace), 0u);
+  // With the pool gone, process_batch runs the sequential path again.
+  EXPECT_GT(wp.dp.process_batch(trace), 0u);
   EXPECT_EQ(wp.dp.packets_processed(), 2 * trace.size());
 }
 
@@ -526,7 +554,7 @@ TEST(ShardedLifecycle, SingleWorkerPoolSpawnsNoThreadsAndStaysExact) {
   ws.dp.process_batch(trace);
   wp.dp.enable_parallel(1);
   EXPECT_EQ(wp.dp.parallel_workers(), 1u);
-  wp.dp.process_batch_parallel(trace);
+  wp.dp.process_batch(trace);
   wp.dp.merge_shards();
   expect_identical_registers(ws.dp, wp.dp, "single-worker pool");
 }
@@ -546,7 +574,7 @@ TEST(ShardedSmoke, TwoThreadEquivalence) {
 
   ws.dp.process_batch(trace);
   wp.dp.enable_parallel(2);
-  wp.dp.process_batch_parallel(trace);
+  wp.dp.process_batch(trace);
   wp.dp.merge_shards();
 
   const exec::ParallelStats stats = wp.dp.parallel_stats();
@@ -575,7 +603,7 @@ TEST(ShardedChurn, ReconfigureWhileProcessingIsRaceFree) {
   std::thread proc([&] {
     std::uint64_t last_gen = 0;
     while (true) {
-      const std::uint64_t gen = w.dp.process_batch_parallel(trace);
+      const std::uint64_t gen = w.dp.process_batch(trace);
       if (gen < last_gen) {
         generations_ok = false;
         break;

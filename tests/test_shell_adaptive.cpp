@@ -73,7 +73,7 @@ TEST(Shell, QueryFrequency) {
   w.shell.execute("add key=SrcIP attr=Frequency mem=16384 rows=3");
   Packet p;
   p.ft.src_ip = 0x0A000001;
-  for (int i = 0; i < 7; ++i) w.dp.process(p);
+  for (int i = 0; i < 7; ++i) w.dp.process_batch({&p, 1});
   EXPECT_EQ(w.shell.execute("query 1 src=10.0.0.1"), "value 7");
 }
 
@@ -86,7 +86,7 @@ TEST(Shell, QueryExistence) {
   p.ft.src_port = 1234;
   p.ft.dst_port = 80;
   p.ft.protocol = 6;
-  w.dp.process(p);
+  w.dp.process_batch({&p, 1});
   EXPECT_EQ(w.shell.execute(
                 "query 1 src=10.0.0.1 dst=192.168.0.1 sport=1234 dport=80 proto=6"),
             "present");
@@ -130,7 +130,7 @@ TEST(Shell, DdosWorkflow) {
   ddos.num_victims = 1;
   ddos.spreaders_per_victim = 2000;
   TraceGenerator::inject_ddos(trace, ddos, cfg.duration_ns);
-  w.dp.process_all(trace);
+  w.dp.process_batch(trace);
 
   const std::string q = w.shell.execute("query 1 dst=192.168.100.0");
   EXPECT_NE(q.find("over threshold"), std::string::npos) << q;
@@ -154,7 +154,7 @@ TEST(Adaptive, OccupancyReflectsLoad) {
   TraceConfig cfg;
   cfg.num_flows = 4000;
   cfg.num_packets = 40'000;
-  dp.process_all(TraceGenerator::generate(cfg));
+  dp.process_batch(TraceGenerator::generate(cfg));
   const double occ = mgr.occupancy(r.task_id);
   EXPECT_GT(occ, 0.2);
   EXPECT_LT(occ, 0.7);
@@ -175,7 +175,7 @@ TEST(Adaptive, GrowsUnderPressure) {
   TraceConfig cfg;
   cfg.num_flows = 10'000;
   cfg.num_packets = 50'000;
-  dp.process_all(TraceGenerator::generate(cfg));
+  dp.process_batch(TraceGenerator::generate(cfg));
 
   const auto decisions = mgr.rebalance();
   ASSERT_EQ(decisions.size(), 1u);
@@ -199,7 +199,7 @@ TEST(Adaptive, ShrinksWhenIdle) {
   TraceConfig cfg;
   cfg.num_flows = 500;
   cfg.num_packets = 5'000;
-  dp.process_all(TraceGenerator::generate(cfg));
+  dp.process_batch(TraceGenerator::generate(cfg));
 
   const auto decisions = mgr.rebalance();
   ASSERT_EQ(decisions.size(), 1u);
@@ -222,7 +222,7 @@ TEST(Adaptive, LeavesWellSizedTasksAlone) {
   TraceConfig cfg;
   cfg.num_flows = 3000;  // ~18% occupancy: inside the comfort band
   cfg.num_packets = 30'000;
-  dp.process_all(TraceGenerator::generate(cfg));
+  dp.process_batch(TraceGenerator::generate(cfg));
 
   const auto decisions = mgr.rebalance();
   ASSERT_EQ(decisions.size(), 1u);
@@ -248,7 +248,7 @@ TEST(Adaptive, RespectsBucketBounds) {
   TraceConfig tc;
   tc.num_flows = 10'000;
   tc.num_packets = 50'000;
-  dp.process_all(TraceGenerator::generate(tc));
+  dp.process_batch(TraceGenerator::generate(tc));
   const auto decisions = mgr.rebalance();
   EXPECT_FALSE(decisions[0].attempted) << "already at max_buckets";
 }
@@ -272,7 +272,7 @@ TEST(Adaptive, TracksTrafficSwing) {
     cfg.num_flows = flows;
     cfg.num_packets = flows * 10;
     cfg.seed = seed;
-    dp.process_all(TraceGenerator::generate(cfg));
+    dp.process_batch(TraceGenerator::generate(cfg));
     return mgr.rebalance()[0];
   };
 

@@ -57,7 +57,7 @@ TEST(Stress, HostilePacketsThroughEveryAttribute) {
   EXPECT_NE(ctl.task(rm2.task_id)->rows[0].units[0].group, 0u);
 
   for (const Packet& p : hostile_packets()) {
-    EXPECT_NO_THROW(dp.process(p));
+    EXPECT_NO_THROW(dp.process_batch(std::span<const Packet>(&p, 1)));
   }
   // Queries on hostile probes never throw either.
   for (const Packet& p : hostile_packets()) {
@@ -79,7 +79,7 @@ TEST(Stress, SaturatingCountersStayPinned) {
   Packet p;
   p.ft.src_ip = 0x0A000001;
   p.wire_bytes = 0xFFFFFFFF;
-  for (int i = 0; i < 10; ++i) dp.process(p);
+  for (int i = 0; i < 10; ++i) dp.process_batch({&p, 1});
   EXPECT_EQ(ctl.query_value(r.task_id, p), 0xFFFFFFFFull)
       << "32-bit registers saturate rather than wrap";
 }
@@ -100,7 +100,7 @@ TEST(Stress, TinyAndHugeRegisters) {
     ASSERT_TRUE(r.ok) << buckets << ": " << r.error;
     Packet p;
     p.ft.src_ip = 0x0A000001;
-    dp.process(p);
+    dp.process_batch({&p, 1});
     EXPECT_EQ(ctl.query_value(r.task_id, p), 1u) << buckets;
   }
 }
@@ -162,7 +162,9 @@ TEST(Stress, RandomizedLifecycleScenario) {
       }
     } else {
       // Traffic between reconfigurations, plus random probes.
-      for (int i = 0; i < 50; ++i) dp.process(trace[rng.next_below(trace.size())]);
+      for (int i = 0; i < 50; ++i) {
+        dp.process_batch({&trace[rng.next_below(trace.size())], 1});
+      }
       if (!live.empty()) {
         const std::uint32_t id = live[rng.next_below(live.size())];
         const Packet& probe = trace[rng.next_below(trace.size())];

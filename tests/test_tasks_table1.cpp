@@ -54,7 +54,7 @@ TEST(Table1, Worm_SrcIpDistinctDstIp) {
     p.ts_ns = i * 1000;
     trace.push_back(p);
   }
-  w.dp.process_all(trace);
+  w.dp.process_batch(trace);
 
   Packet worm_probe;
   worm_probe.ft.src_ip = 0x0A424242;
@@ -93,7 +93,7 @@ TEST(Table1, PortScan_IpPairDistinctDstPort) {
     p.ts_ns = 1'000'000 + i;
     trace.push_back(p);
   }
-  w.dp.process_all(trace);
+  w.dp.process_batch(trace);
 
   Packet scanner = trace[0];
   Packet normal = trace[500];
@@ -149,7 +149,7 @@ TEST(Table1, HolBlocking_MaxQueueDelay) {
   cfg.num_flows = 500;
   cfg.num_packets = 20'000;
   const auto trace = TraceGenerator::generate(cfg);
-  w.dp.process_all(trace);
+  w.dp.process_batch(trace);
   const FreqMap truth =
       ExactStats::max_value(trace, s.key, MetaField::kQueueDelay);
   unsigned checked = 0, exact = 0;
@@ -176,7 +176,7 @@ TEST(Table1, HeavyChanger_SnapshotDelta) {
   cfg.num_flows = 1000;
   cfg.num_packets = 50'000;
   const auto epoch1 = TraceGenerator::generate(cfg);
-  w.dp.process_all(epoch1);
+  w.dp.process_batch(epoch1);
   const auto snap = w.ctl.snapshot_task(r.task_id);
 
   const FreqMap truth1 = ExactStats::frequency(epoch1, s.key);
@@ -202,7 +202,7 @@ TEST(Table1, HeavyChanger_SnapshotDelta) {
   }
 
   w.dp.clear_registers();
-  w.dp.process_all(epoch2);
+  w.dp.process_batch(epoch2);
 
   std::vector<FlowKeyValue> candidates;
   for (const auto& [k, f] : truth1) candidates.push_back(k);

@@ -207,7 +207,7 @@ TEST(PacketTracer, DataplaneFillsSteps) {
   TraceConfig cfg;
   cfg.num_flows = 10;
   cfg.num_packets = 20;
-  for (const Packet& p : TraceGenerator::generate(cfg)) dp.process(p);
+  for (const Packet& p : TraceGenerator::generate(cfg)) dp.process_batch({&p, 1});
   dp.set_tracer(nullptr);
 
   EXPECT_EQ(tracer.packets_seen(), 20u);
@@ -269,7 +269,7 @@ TEST(PacketTracer, ConcurrentReaderSeesOnlyCommittedRecords) {
       std::this_thread::yield();
     }
   });
-  for (const Packet& p : packets) dp.process(p);
+  for (const Packet& p : packets) dp.process_batch({&p, 1});
   done.store(true, std::memory_order_release);
   reader.join();
   tuner.join();
@@ -297,7 +297,7 @@ TEST(TaskHealth, SaturationAndResizeDelay) {
   TraceConfig cfg;
   cfg.num_flows = 2000;
   cfg.num_packets = 20'000;
-  dp.process_all(TraceGenerator::generate(cfg));
+  dp.process_batch(TraceGenerator::generate(cfg));
 
   const control::TaskHealth h = ctl.task_health(r.task_id);
   EXPECT_EQ(h.task_id, r.task_id);
@@ -374,9 +374,9 @@ std::string golden_scenario(Registry& reg, bool prometheus) {
   p.ft.src_port = 1111;
   p.ft.dst_port = 80;
   p.ft.protocol = 6;
-  for (unsigned i = 0; i < 4; ++i) dp.process(p);  // one flow, 4 packets
+  for (unsigned i = 0; i < 4; ++i) dp.process_batch({&p, 1});  // one flow, 4 packets
   p.ft.src_ip = 0x0A000003;
-  for (unsigned i = 0; i < 2; ++i) dp.process(p);  // second flow, 2 packets
+  for (unsigned i = 0; i < 2; ++i) dp.process_batch({&p, 1});  // second flow, 2 packets
   ctl.collect_telemetry();
   EXPECT_EQ(ctl.query_value(r.task_id, p), 2u);
   return prometheus ? telemetry::to_prometheus(reg) : telemetry::to_json(reg);
@@ -462,7 +462,7 @@ TEST(ShellTelemetry, CommandsRoundTrip) {
   TraceConfig cfg;
   cfg.num_flows = 100;
   cfg.num_packets = 1'000;
-  dp.process_all(TraceGenerator::generate(cfg));
+  dp.process_batch(TraceGenerator::generate(cfg));
 
   const std::string summary = shell.execute("telemetry");
   EXPECT_NE(summary.find("telemetry on"), std::string::npos);
@@ -496,7 +496,7 @@ TEST(ShellTrace, CommandsRoundTrip) {
   TraceConfig cfg;
   cfg.num_flows = 10;
   cfg.num_packets = 100;
-  dp.process_all(TraceGenerator::generate(cfg));
+  dp.process_batch(TraceGenerator::generate(cfg));
   const std::string status = shell.execute("trace status");
   EXPECT_NE(status.find("tracing on: 1-in-4"), std::string::npos);
   EXPECT_NE(status.find("100 packets seen"), std::string::npos);
