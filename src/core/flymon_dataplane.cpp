@@ -190,7 +190,8 @@ FlyMonDataPlane::DrainStats FlyMonDataPlane::drain(ingest::PacketSource& source)
   // streaming-vs-batched throughput gate in CI depends on this).
   const std::size_t executors =
       pool_ != nullptr ? pool_->num_workers() : 1;
-  std::vector<Packet> buf(exec::kDefaultBatchChunk * executors * 8);
+  std::vector<Packet>& buf = drain_buf_;
+  buf.resize(exec::kDefaultBatchChunk * executors * 8);
   auto& prof = trace::StageProfiler::global();
   for (;;) {
     const std::uint64_t c0 = trace::now_cycles();

@@ -89,7 +89,7 @@ class FlyMonDataPlane {
   /// exactly as they do between process_batch calls (single-submitter,
   /// like process_batch).  Batches are sized kDefaultBatchChunk x
   /// executors x 8 so the pool's per-job overhead amortises to the batched
-  /// path's.  Capture-loop time (source pull) is attributed to the `ingest`
+  /// path's; the pull buffer is kept across calls.  Capture-loop time (source pull) is attributed to the `ingest`
   /// stage of the hot-path profiler.
   DrainStats drain(ingest::PacketSource& source);
 
@@ -215,6 +215,7 @@ class FlyMonDataPlane {
   PlanValidator validator_ FLYMON_GUARDED_BY(publish_mu_);
   std::string last_publish_veto_ FLYMON_GUARDED_BY(publish_mu_);
   std::unique_ptr<exec::BatchScratch> scratch_;  ///< processing-thread only
+  std::vector<Packet> drain_buf_;  ///< drain's pull buffer, processing-thread only
   telemetry::Registry* registry_ = nullptr;
   telemetry::Counter* packets_counter_ = nullptr;
   telemetry::PacketTracer* tracer_ = nullptr;

@@ -1,6 +1,7 @@
 #include "exec/exec_plan.hpp"
 
 #include <algorithm>
+#include <type_traits>
 
 #include "common/hash.hpp"
 #include "trace/stage_profiler.hpp"
@@ -31,6 +32,188 @@ inline std::uint32_t resolve(const CompiledParam& p, const Packet& pkt,
       return chains[p.value];
   }
   return 0;
+}
+
+// ---- SALU stage bodies -----------------------------------------------------
+//
+// The preparation and operation arithmetic, one copy each, with the prep
+// function / op as a template argument.  run_cmu decodes the entry per
+// packet and calls the matching instantiation through visit_prep /
+// visit_op; a single-entry CMU decodes once per batch instead and runs its
+// whole packet loop from one instantiation (run_single_entry).
+
+template <PrepFn K>
+using PrepTag = std::integral_constant<PrepFn, K>;
+template <dataplane::StatefulOp K>
+using OpTag = std::integral_constant<dataplane::StatefulOp, K>;
+
+/// Calls f(PrepTag<prep>{}): where a runtime PrepFn becomes a template
+/// argument.
+template <typename F>
+[[gnu::always_inline]] inline decltype(auto) visit_prep(PrepFn prep, F&& f) {
+  switch (prep) {
+    case PrepFn::kNone: return f(PrepTag<PrepFn::kNone>{});
+    case PrepFn::kCouponOneHot: return f(PrepTag<PrepFn::kCouponOneHot>{});
+    case PrepFn::kBitSelectOneHot:
+      return f(PrepTag<PrepFn::kBitSelectOneHot>{});
+    case PrepFn::kSubtractGated: return f(PrepTag<PrepFn::kSubtractGated>{});
+    case PrepFn::kKeepOnChainZero:
+      return f(PrepTag<PrepFn::kKeepOnChainZero>{});
+    case PrepFn::kBitSelectOneHotGated:
+      return f(PrepTag<PrepFn::kBitSelectOneHotGated>{});
+  }
+  __builtin_unreachable();
+}
+
+/// Calls f(OpTag<op>{}): where a runtime StatefulOp becomes a template
+/// argument.
+template <typename F>
+[[gnu::always_inline]] inline decltype(auto) visit_op(dataplane::StatefulOp op,
+                                                      F&& f) {
+  using dataplane::StatefulOp;
+  switch (op) {
+    case StatefulOp::kNop: return f(OpTag<StatefulOp::kNop>{});
+    case StatefulOp::kCondAdd: return f(OpTag<StatefulOp::kCondAdd>{});
+    case StatefulOp::kMax: return f(OpTag<StatefulOp::kMax>{});
+    case StatefulOp::kAndOr: return f(OpTag<StatefulOp::kAndOr>{});
+    case StatefulOp::kXor: return f(OpTag<StatefulOp::kXor>{});
+  }
+  __builtin_unreachable();
+}
+
+/// Preparation stage: rewrites p1/p2 in place.  False when the update
+/// aborts (no BeauCoup coupon drawn).  `chains` is read by the gated preps
+/// only.
+template <PrepFn kPrep>
+[[gnu::always_inline]] inline bool apply_prep(const CompiledEntry& e,
+                                              const std::uint32_t* chains,
+                                              std::uint32_t& p1,
+                                              std::uint32_t& p2) noexcept {
+  if constexpr (kPrep == PrepFn::kCouponOneHot) {
+    p1 ^= (p1 >> 16) | (p1 << 16);
+    const double u = static_cast<double>(p1) * 0x1.0p-32;
+    if (u >= e.coupon_total) return false;  // no coupon drawn: no update
+    const auto idx =
+        std::min<unsigned>(static_cast<unsigned>(u / e.coupon_probability),
+                           e.coupon_count - 1);
+    p1 = 1u << idx;
+    p2 = 1;
+  } else if constexpr (kPrep == PrepFn::kBitSelectOneHot) {
+    p1 = 1u << (p1 & 31u);
+    p2 = 1;
+  } else if constexpr (kPrep == PrepFn::kSubtractGated) {
+    const std::uint32_t gate = chains[e.gate_chain];
+    p1 = gate != 0 ? (p1 > p2 ? p1 - p2 : 0u) : 0u;
+    p2 = 0;
+  } else if constexpr (kPrep == PrepFn::kKeepOnChainZero) {
+    if (chains[e.gate_chain] != 0) p1 = 0;
+  } else if constexpr (kPrep == PrepFn::kBitSelectOneHotGated) {
+    p1 = chains[e.gate_chain] == 0 ? (1u << (p1 & 31u)) : 0u;
+  }
+  return true;
+}
+
+/// Operation stage: the inlined SALU (same arithmetic as Salu::execute, on
+/// the shared register, without touching any mutable SALU state).  `cur`
+/// is the cell's value before the op; returns the op's result.
+template <dataplane::StatefulOp kOp>
+[[gnu::always_inline]] inline std::uint32_t apply_op(
+    dataplane::RegisterArray& reg, std::uint32_t addr, std::uint32_t cur,
+    std::uint32_t p1, std::uint32_t p2, std::uint32_t mask) noexcept {
+  using dataplane::StatefulOp;
+  if constexpr (kOp == StatefulOp::kNop) {
+    return cur;
+  } else if constexpr (kOp == StatefulOp::kCondAdd) {
+    if (cur >= p2) return 0;
+    const std::uint64_t sum = std::uint64_t{cur} + p1;
+    const std::uint32_t next =
+        sum > mask ? mask : static_cast<std::uint32_t>(sum);
+    reg.store_relaxed(addr, next & mask);
+    return next;
+  } else if constexpr (kOp == StatefulOp::kMax) {
+    if (cur >= (p1 & mask)) return 0;
+    reg.store_relaxed(addr, p1 & mask);
+    return p1 & mask;
+  } else if constexpr (kOp == StatefulOp::kAndOr) {
+    const std::uint32_t next = (p2 == 0) ? (cur & p1) : (cur | p1);
+    reg.store_relaxed(addr, next & mask);
+    return next;
+  } else {
+    static_assert(kOp == StatefulOp::kXor);
+    const std::uint32_t next = cur ^ (p1 & mask);
+    reg.store_relaxed(addr, next & mask);
+    return next;
+  }
+}
+
+/// The preps a single-entry loop is instantiated for: the gated ones read
+/// chain channels, which keeps their CMU on the generic walk.
+constexpr bool chain_free_prep(PrepFn prep) noexcept {
+  return prep == PrepFn::kNone || prep == PrepFn::kCouponOneHot ||
+         prep == PrepFn::kBitSelectOneHot;
+}
+
+/// True when a CMU's packet loop can run from a run_single_entry
+/// instantiation: its slice holds exactly one entry, which is unsampled
+/// and touches no chain channel (no chain output, no kChain parameter, no
+/// gated prep).  Such an entry's output goes nowhere but the register, so
+/// output_old_value does not matter either.
+bool single_entry_shape(const CompiledCmu& cmu,
+                        std::span<const CompiledEntry> entries) noexcept {
+  if (cmu.entry_end - cmu.entry_begin != 1) return false;
+  const CompiledEntry& e = entries[cmu.entry_begin];
+  return !e.sampled && e.chain_out == kNoChain &&
+         e.p1.kind != CompiledParam::Kind::kChain &&
+         e.p2.kind != CompiledParam::Kind::kChain && chain_free_prep(e.prep);
+}
+
+inline void prefetch_row(const std::atomic<std::uint32_t>* cells,
+                         std::uint32_t addr) noexcept {
+#if defined(__GNUC__) || defined(__clang__)
+  __builtin_prefetch(static_cast<const void*>(cells + addr), 1 /*write*/,
+                     1 /*low temporal locality*/);
+#else
+  (void)cells;
+  (void)addr;
+#endif
+}
+
+/// The packet loop of a single_entry_shape CMU with the entry's prep and
+/// op fixed at compile time: per packet it reads the precomputed filter
+/// verdict and address (`match` / `addr`, this entry's rows of the SoA
+/// buffers), resolves p1/p2 and runs the op.  Same packet order, register
+/// prefetch and arithmetic as the generic walk, so registers and counters
+/// are identical.
+template <dataplane::StatefulOp kOp, PrepFn kPrep>
+void run_single_entry(const CompiledEntry& entry, std::span<const Packet> pkts,
+                      const std::uint32_t* lanes, const std::uint32_t* match,
+                      const std::uint32_t* addr, dataplane::RegisterArray& reg,
+                      std::uint64_t& updates,
+                      std::uint64_t& prep_aborts) noexcept {
+  // A local copy: the register stores below cannot alias it, so its fields
+  // stay in registers across the loop.
+  const CompiledEntry e = entry;
+  const std::size_t n = pkts.size();
+  const std::atomic<std::uint32_t>* cells = reg.data();
+  std::uint64_t ran = 0, aborted = 0;
+  for (std::size_t p = 0; p < n; ++p) {
+    if (p + kPrefetchDistance < n && match[p + kPrefetchDistance] != 0) {
+      prefetch_row(cells, addr[p + kPrefetchDistance]);
+    }
+    if (match[p] == 0) continue;
+    // Chain-free shape: resolve and apply_prep never read `chains`.
+    std::uint32_t p1 = resolve(e.p1, pkts[p], lanes, n, p, nullptr);
+    std::uint32_t p2 = resolve(e.p2, pkts[p], lanes, n, p, nullptr);
+    if (!apply_prep<kPrep>(e, nullptr, p1, p2)) {
+      ++aborted;
+      continue;
+    }
+    const std::uint32_t a = addr[p];
+    apply_op<kOp>(reg, a, reg.load_relaxed(a), p1, p2, e.value_mask);
+    ++ran;
+  }
+  updates += ran;
+  prep_aborts += aborted;
 }
 
 // ---- SoA stage kernels -----------------------------------------------------
@@ -144,17 +327,6 @@ const FillMatchFn g_fill_match = fill_match_scalar;
 const FillAddrFn g_fill_addr = fill_addr_scalar;
 #endif
 
-inline void prefetch_row(const std::atomic<std::uint32_t>* cells,
-                         std::uint32_t addr) noexcept {
-#if defined(__GNUC__) || defined(__clang__)
-  __builtin_prefetch(static_cast<const void*>(cells + addr), 1 /*write*/,
-                     1 /*low temporal locality*/);
-#else
-  (void)cells;
-  (void)addr;
-#endif
-}
-
 }  // namespace
 
 bool avx2_soa_active() noexcept { return g_avx2; }
@@ -237,79 +409,19 @@ void ExecPlan::build_hot() {
     std::uint32_t p1 = resolve(e.p1, pkt, lanes, n, p, chains);
     std::uint32_t p2 = resolve(e.p2, pkt, lanes, n, p, chains);
     const std::uint32_t p2_raw = p2;
-
-    switch (e.prep) {
-      case PrepFn::kNone:
-        break;
-      case PrepFn::kCouponOneHot: {
-        p1 ^= (p1 >> 16) | (p1 << 16);
-        const double u = static_cast<double>(p1) * 0x1.0p-32;
-        if (u >= e.coupon_total) {  // no coupon drawn: no update
-          ++prep_aborts;
-          return;
-        }
-        const auto idx =
-            std::min<unsigned>(static_cast<unsigned>(u / e.coupon_probability),
-                               e.coupon_count - 1);
-        p1 = 1u << idx;
-        p2 = 1;
-        break;
-      }
-      case PrepFn::kBitSelectOneHot:
-        p1 = 1u << (p1 & 31u);
-        p2 = 1;
-        break;
-      case PrepFn::kSubtractGated: {
-        const std::uint32_t gate = chains[e.gate_chain];
-        p1 = gate != 0 ? (p1 > p2 ? p1 - p2 : 0u) : 0u;
-        p2 = 0;
-        break;
-      }
-      case PrepFn::kKeepOnChainZero:
-        if (chains[e.gate_chain] != 0) p1 = 0;
-        break;
-      case PrepFn::kBitSelectOneHotGated:
-        p1 = chains[e.gate_chain] == 0 ? (1u << (p1 & 31u)) : 0u;
-        break;
+    const bool go = visit_prep(e.prep, [&](auto prep) {
+      return apply_prep<prep()>(e, chains, p1, p2);
+    });
+    if (!go) {
+      ++prep_aborts;
+      return;
     }
 
-    // Operation: inlined SALU semantics (same arithmetic as Salu::execute,
-    // on the shared register, without touching any mutable SALU state).
-    const std::uint32_t mask = e.value_mask;
+    // Operation.
     const std::uint32_t cur = reg.load_relaxed(addr);
-    std::uint32_t result = 0;
-    switch (e.op) {
-      case dataplane::StatefulOp::kNop:
-        result = cur;
-        break;
-      case dataplane::StatefulOp::kCondAdd:
-        if (cur < p2) {
-          const std::uint64_t sum = std::uint64_t{cur} + p1;
-          const std::uint32_t next =
-              sum > mask ? mask : static_cast<std::uint32_t>(sum);
-          reg.store_relaxed(addr, next & mask);
-          result = next;
-        }
-        break;
-      case dataplane::StatefulOp::kMax:
-        if (cur < (p1 & mask)) {
-          reg.store_relaxed(addr, p1 & mask);
-          result = p1 & mask;
-        }
-        break;
-      case dataplane::StatefulOp::kAndOr: {
-        const std::uint32_t next = (p2 == 0) ? (cur & p1) : (cur | p1);
-        reg.store_relaxed(addr, next & mask);
-        result = next;
-        break;
-      }
-      case dataplane::StatefulOp::kXor: {
-        const std::uint32_t next = cur ^ (p1 & mask);
-        reg.store_relaxed(addr, next & mask);
-        result = next;
-        break;
-      }
-    }
+    const std::uint32_t result = visit_op(e.op, [&](auto op) {
+      return apply_op<op()>(reg, addr, cur, p1, p2, e.value_mask);
+    });
 
     std::uint32_t out = result;
     if (e.output_old_value) {
@@ -368,7 +480,9 @@ void ExecPlan::run_batch_impl(std::span<const Packet> pkts, BatchScratch& s,
   // "unconfigured unit / no selector" lane); `lanes[slot * n + p]` so each
   // lane is a contiguous per-packet array for the SoA address pass.
   s.keys.resize(n);
-  s.lanes.assign(num_slots * n, 0u);
+  // Lane 0 is the only one not overwritten below.
+  s.lanes.resize(num_slots * n);
+  std::fill_n(s.lanes.begin(), n, 0u);
   s.chains.assign(n * num_chains, 0u);
   s.src_ip.resize(n);
   s.dst_ip.resize(n);
@@ -429,23 +543,39 @@ void ExecPlan::run_batch_impl(std::span<const Packet> pkts, BatchScratch& s,
       const std::atomic<std::uint32_t>* reg_cells = reg.data();
       std::uint64_t updates = 0, sampled_out = 0, prep_aborts = 0;
       std::array<std::uint64_t, 5> op_counts{};
-      for (std::size_t p = 0; p < n; ++p) {
-        // Prefetch the register row the NEXT packet will touch: its
-        // translated address is already in the SoA buffer, and
-        // first-match-wins tells us which entry's row that will be
-        // (sampling can still divert — then the hint is merely wasted).
-        if (p + kPrefetchDistance < n) {
-          const std::size_t q = p + kPrefetchDistance;
-          for (std::uint32_t i = cmu.entry_begin; i < cmu.entry_end; ++i) {
-            if (s.match[std::size_t{i} * n + q] != 0) {
-              prefetch_row(reg_cells, s.addr[std::size_t{i} * n + q]);
-              break;
+      if (single_entry_shape(cmu, entries_)) {
+        // One decode per batch: the entry's prep and op pick the loop.
+        const CompiledEntry& e = entries_[cmu.entry_begin];
+        const std::size_t row = std::size_t{cmu.entry_begin} * n;
+        visit_op(e.op, [&](auto op) {
+          visit_prep(e.prep, [&](auto prep) {
+            if constexpr (chain_free_prep(prep())) {
+              run_single_entry<op(), prep()>(e, pkts, s.lanes.data(),
+                                             &s.match[row], &s.addr[row], reg,
+                                             updates, prep_aborts);
+            }
+          });
+        });
+        op_counts[static_cast<std::size_t>(e.op)] = updates;
+      } else {
+        for (std::size_t p = 0; p < n; ++p) {
+          // Prefetch the register row the NEXT packet will touch: its
+          // translated address is already in the SoA buffer, and
+          // first-match-wins tells us which entry's row that will be
+          // (sampling can still divert — then the hint is merely wasted).
+          if (p + kPrefetchDistance < n) {
+            const std::size_t q = p + kPrefetchDistance;
+            for (std::uint32_t i = cmu.entry_begin; i < cmu.entry_end; ++i) {
+              if (s.match[std::size_t{i} * n + q] != 0) {
+                prefetch_row(reg_cells, s.addr[std::size_t{i} * n + q]);
+                break;
+              }
             }
           }
+          run_cmu(cmu, reg, pkts[p], s.keys[p], s, n, p,
+                  &s.chains[p * num_chains], updates, sampled_out,
+                  prep_aborts, op_counts);
         }
-        run_cmu(cmu, reg, pkts[p], s.keys[p], s, n, p,
-                &s.chains[p * num_chains], updates, sampled_out, prep_aborts,
-                op_counts);
       }
       // Everything scalar in the packet loop (sampling coins, preps,
       // chains, the SALU op) attributes to the SALU stage: one lap per

@@ -132,11 +132,12 @@ struct EntryHot {
 /// config row so artifacts are comparable across machines.
 bool avx2_soa_active() noexcept;
 
-/// How many packets ahead the per-CMU walk prefetches the register row.
-/// One packet is enough: a CMU's scalar tail (sampling coin, preps, SALU
-/// op) is long enough to cover an L2 hit but too short for main memory,
-/// and larger distances would prefetch rows for packets whose sampling
-/// coin may still divert them (see DESIGN.md §17).
+/// How many packets ahead a CMU's packet loop prefetches the register row
+/// (both the generic walk and the single-entry loops).  One packet is
+/// enough: a CMU's scalar tail (sampling coin, preps, SALU op) is long
+/// enough to cover an L2 hit but too short for main memory, and larger
+/// distances would prefetch rows for packets whose sampling coin may still
+/// divert them (see DESIGN.md §17).
 inline constexpr std::size_t kPrefetchDistance = 1;
 
 /// One CMU's compiled view: its slice of the flat entry array plus the
@@ -328,11 +329,16 @@ class ExecPlan {
   friend class PlanCompiler;
   friend struct PlanMutator;
 
-  // The scalar per-packet remainder of one CMU: sampling coin, preps,
-  // chain reads/writes and the SALU op, in the exact interpreted order.
+  // The generic scalar per-packet remainder of one CMU: first-match entry
+  // walk, sampling coin, preps, chain reads/writes and the SALU op, in the
+  // exact interpreted order, decoding the entry's prep and op per packet.
   // Filter matches and translated addresses arrive precomputed in the
   // scratch SoA buffers (`s.match` / `s.addr`, entry-major, stride n);
-  // hash lanes are slot-major (`s.lanes[slot * n + p]`).
+  // hash lanes are slot-major (`s.lanes[slot * n + p]`).  A CMU whose
+  // slice is one unsampled, chain-free entry skips this walk: run_batch_impl
+  // decodes that entry once per batch and runs the packet loop instantiated
+  // for its op and prep (exec_plan.cpp, run_single_entry).  Both call the
+  // same prep/op bodies.
   void run_cmu(const CompiledCmu& cmu, dataplane::RegisterArray& reg,
                const Packet& pkt, const CandidateKey& key,
                const BatchScratch& s, std::size_t n, std::size_t p,
